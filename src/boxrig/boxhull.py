@@ -25,17 +25,6 @@ class NotInHull(ValueError):
     """witness_rect was asked for a point outside the hull."""
 
 
-@dataclass(frozen=True)
-class ShadowSet:
-    """The four forbidden staircase regions, each given by its boundary
-    polyline (chain points plus outer corner vertices, x-increasing)."""
-
-    dom_max: tuple     # shadow of the up-right staircase
-    dom_min: tuple     # shadow of the down-left staircase
-    anti_max: tuple    # shadow of the up-left staircase
-    anti_min: tuple    # shadow of the down-right staircase
-
-
 def _staircase(pts, corner) -> list[tuple[int, int]]:
     """Chain vertices interleaved with corner(prev, cur) outer corners."""
     out = [pts[0]]
@@ -232,14 +221,6 @@ class BoxHull:
         if lo > hi:
             return None
         return lo, hi
-
-    def shadows(self) -> ShadowSet:
-        return ShadowSet(
-            dom_max=tuple(_staircase(self.ne, lambda a, b: (b[0], a[1]))),
-            dom_min=tuple(_staircase(self.sw, lambda a, b: (a[0], b[1]))),
-            anti_max=tuple(_staircase(self.nw, lambda a, b: (a[0], b[1]))),
-            anti_min=tuple(_staircase(self.se, lambda a, b: (b[0], a[1]))),
-        )
 
 
 def build_hull(ps: PointSet) -> BoxHull:

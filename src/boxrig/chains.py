@@ -1,15 +1,11 @@
-"""Staircase chains, canonical interval decomposition, and maxima stitching.
-
-A maxima chain stored in a balanced search tree can hand out any contiguous
-x-range as at most 2*height - 1 tree nodes; merging two maxima then costs
-O(log n): keep the upper chain whole and take the suffix of the lower chain
-strictly to the right of its last point.
+"""Staircase chains: the four extremal staircases of a point set, found in
+one sweep over the x order, and a brute-force definition filter as their
+test oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geom import PointSet
 
@@ -80,157 +76,3 @@ def maxima_bruteforce(ps: PointSet, kind: str) -> Chain:
             keep.append(p.id)
     keep.sort(key=lambda i: ps.xs[i])
     return Chain(tuple(keep), kind)
-
-
-# ---------------------------------------------------------------------------
-# balanced trees over sorted key runs, held in an append-only arena
-
-
-class TreeArena:
-    """Append-only arena of balanced binary trees over sorted (key, payload)
-    leaves.  Node handles are plain indices and stay valid forever; every
-    node knows the contiguous run of the element array it spans.
-    """
-
-    def __init__(self):
-        self.keys: list = []        # flat element keys, one run per tree
-        self.payloads: list = []
-        self.node_left: list[int] = []   # -1 for leaves
-        self.node_right: list[int] = []
-        self.node_lo: list[int] = []     # run start in the flat arrays
-        self.node_hi: list[int] = []     # run end (exclusive)
-        self.elements_inspected = 0      # instrumentation for query cost
-
-    def _new_node(self, left: int, right: int, lo: int, hi: int) -> int:
-        self.node_left.append(left)
-        self.node_right.append(right)
-        self.node_lo.append(lo)
-        self.node_hi.append(hi)
-        return len(self.node_left) - 1
-
-    def build(self, items) -> int:
-        """Build a balanced tree over (key, payload) pairs sorted by key;
-        returns the root handle."""
-        items = list(items)
-        if not items:
-            raise ValueError("cannot build an empty tree")
-        base = len(self.keys)
-        for k, v in items:
-            self.keys.append(k)
-            self.payloads.append(v)
-
-        def rec(lo: int, hi: int) -> int:
-            if hi - lo == 1:
-                return self._new_node(-1, -1, lo, hi)
-            mid = (lo + hi) // 2
-            lt = rec(lo, mid)
-            rt = rec(mid, hi)
-            return self._new_node(lt, rt, lo, hi)
-
-        return rec(base, base + len(items))
-
-    def size(self, node: int) -> int:
-        return self.node_hi[node] - self.node_lo[node]
-
-    def height(self, node: int) -> int:
-        # build() halves ranges, so depth is exactly ceil(log2(size))
-        return max(self.size(node) - 1, 0).bit_length()
-
-    def node_keys(self, node: int) -> list:
-        return self.keys[self.node_lo[node]:self.node_hi[node]]
-
-    def node_payloads(self, node: int) -> list:
-        return self.payloads[self.node_lo[node]:self.node_hi[node]]
-
-    def min_key(self, node: int):
-        return self.keys[self.node_lo[node]]
-
-    def max_key(self, node: int):
-        return self.keys[self.node_hi[node] - 1]
-
-
-@dataclass
-class CanonicalRep:
-    """Ordered node list whose runs concatenate to one sorted sequence."""
-
-    arena: TreeArena
-    nodes: list[int] = field(default_factory=list)
-
-    def expand_keys(self) -> list:
-        out = []
-        for nd in self.nodes:
-            out.extend(self.arena.node_keys(nd))
-        return out
-
-    def expand_payloads(self) -> list:
-        out = []
-        for nd in self.nodes:
-            out.extend(self.arena.node_payloads(nd))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def last_key(self):
-        if not self.nodes:
-            return None
-        return self.arena.max_key(self.nodes[-1])
-
-
-def _range_nodes(arena: TreeArena, root: int, i: int, j: int, out: list[int]):
-    """Append the minimal node cover of flat-index range [i, j) under root."""
-    if i >= j:
-        return
-
-    def rec(node: int):
-        nlo, nhi = arena.node_lo[node], arena.node_hi[node]
-        if i <= nlo and nhi <= j:
-            out.append(node)
-            return
-        if nhi <= i or j <= nlo:
-            return
-        rec(arena.node_left[node])
-        rec(arena.node_right[node])
-
-    rec(root)
-
-
-def interval_nodes(arena: TreeArena, root: int, lo, hi) -> CanonicalRep:
-    """Minimal node list covering exactly the elements with key in [lo, hi].
-
-    At most 2*height - 1 nodes, found along the two root-to-boundary paths.
-    Empty range gives an empty list.
-    """
-    rep = CanonicalRep(arena)
-    base = arena.node_lo[root]
-    i = bisect_left(arena.keys, lo, base, arena.node_hi[root])
-    j = bisect_right(arena.keys, hi, base, arena.node_hi[root])
-    arena.elements_inspected += 2  # boundary probes (binary searches)
-    _range_nodes(arena, root, i, j, rep.nodes)
-    return rep
-
-
-def stitch(left: CanonicalRep, right: CanonicalRep) -> CanonicalRep:
-    """Merged maxima of an upper chain (left) and a lower chain (right).
-
-    Keeps all of left, then the suffix of right strictly to the right of
-    left's last x.  Inspects O(log n) elements beyond the node lists.
-    """
-    if not left.nodes:
-        return CanonicalRep(right.arena, list(right.nodes))
-    arena = right.arena
-    cutoff = left.last_key()
-    out = CanonicalRep(arena, list(left.nodes))
-    for idx, nd in enumerate(right.nodes):
-        if arena.max_key(nd) <= cutoff:
-            continue
-        if arena.min_key(nd) > cutoff:
-            out.nodes.extend(right.nodes[idx:])
-            break
-        # boundary node: keep its strict suffix beyond the cutoff
-        i = bisect_right(arena.keys, cutoff, arena.node_lo[nd], arena.node_hi[nd])
-        arena.elements_inspected += 1
-        _range_nodes(arena, nd, i, arena.node_hi[nd], out.nodes)
-        out.nodes.extend(right.nodes[idx + 1:])
-        break
-    return out

@@ -409,46 +409,37 @@ def _reflected(xs):
     return [-x for x in xs]
 
 
-def build_cover_basic(ps: PointSet) -> BicliqueCover:
-    """O(n log n) bicliques of total weight O(n log^2 n)."""
+def _build(ps: PointSet, variant: str, oriented, *args) -> BicliqueCover:
+    """Run one pipeline on both orientations, timed, collector paused."""
     if ps.n < 2:
         raise ValueError("need at least two points")
     t0 = time.perf_counter()
     with _gc_paused():
-        dom = _leveled_oriented(ps, ps.xs, 0)
-        anti = _leveled_oriented(ps, _reflected(ps.xs), 0)
-        return _assemble(ps, [(ORIENT_DOM, dom), (ORIENT_ANTI, anti)], "basic", t0)
+        dom = oriented(ps, ps.xs, *args)
+        anti = oriented(ps, _reflected(ps.xs), *args)
+        return _assemble(ps, [(ORIENT_DOM, dom), (ORIENT_ANTI, anti)],
+                         variant, t0)
+
+
+def build_cover_basic(ps: PointSet) -> BicliqueCover:
+    """O(n log n) bicliques of total weight O(n log^2 n)."""
+    return _build(ps, "basic", _leveled_oriented, 0)
 
 
 def build_cover(ps: PointSet) -> BicliqueCover:
     """O(n) bicliques of total weight O(n log^2 n).  Small instances fall
     back to the basic machinery (identical edges, bounds vacuous there)."""
-    if ps.n < 2:
-        raise ValueError("need at least two points")
-    t0 = time.perf_counter()
-    with _gc_paused():
-        if ps.n < COMPACT_MIN_N:
-            dom = _leveled_oriented(ps, ps.xs, 0)
-            anti = _leveled_oriented(ps, _reflected(ps.xs), 0)
-        else:
-            dom = _compact_oriented(ps, ps.xs)
-            anti = _compact_oriented(ps, _reflected(ps.xs))
-        return _assemble(ps, [(ORIENT_DOM, dom), (ORIENT_ANTI, anti)],
-                         "compact", t0)
+    if ps.n < COMPACT_MIN_N:
+        return _build(ps, "compact", _leveled_oriented, 0)
+    return _build(ps, "compact", _compact_oriented)
 
 
 def build_k_cover(ps: PointSet, k: int) -> BicliqueCover:
     """Cover of the relaxed graph allowing up to k interior points."""
-    if ps.n < 2:
-        raise ValueError("need at least two points")
-    if not 0 <= k <= ps.n - 2:
+    # sets below two points get the driver's error, as for the other builders
+    if ps.n >= 2 and not 0 <= k <= ps.n - 2:
         raise ValueError(f"k must be in [0, {ps.n - 2}]")
-    t0 = time.perf_counter()
-    with _gc_paused():
-        dom = _leveled_oriented(ps, ps.xs, k)
-        anti = _leveled_oriented(ps, _reflected(ps.xs), k)
-        return _assemble(ps, [(ORIENT_DOM, dom), (ORIENT_ANTI, anti)],
-                         f"k-level(k={k})", t0)
+    return _build(ps, f"k-level(k={k})", _leveled_oriented, k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,13 @@ Selected level values (all of 1..mu, then a geometric ladder) turn each
 biclique into O((|A|+|B|)/eps + levels^2) weighted interior-disjoint
 rectangles whose value at any point is within [(1-eps) k l, k l].  Small
 bicliques skip the machinery and emit their rectangles verbatim (exact).
-The global overlay answers stabbing sums in O(log) time via an x-sweep with
-a persistent segment tree over compressed y.
+
+One overlay path serves both consumers: the cells of a whole cover become
+one x-sweep of leaf-range updates over compressed y.  DepthIndex replays the
+sweep into a persistent segment tree and answers stabbing sums in O(log)
+time; approx_max_depth replays it into a mutable max tree and keeps the
+deepest leaf seen.  The exact searches (log_approx_max_depth, approx_mis)
+share one pre-order walk over x-median slabs.
 
 All rectangle coordinates live on the doubled-integer lattice so that
 half-open cell boundaries and half-integer queries stay exact.
@@ -245,34 +250,50 @@ def _oriented_sides2(b, xs, ys):
     return bx2, by2, ax2, ay2, True
 
 
-def _biclique_stab2(sides, qx2: int, qy2: int) -> int:
-    """Exact number of family rectangles containing the point."""
-    bx2, by2_asc, ax2, ay2_asc, t, s = sides
-    k = bisect_right(bx2, qx2) + bisect_right(by2_asc, qy2) - t
-    if k <= 0:
-        return 0
-    ell = (s - bisect_left(ax2, qx2)) + (s - bisect_left(ay2_asc, qy2)) - s
-    return k * ell if ell > 0 else 0
-
-
-def _stab_sides(cover: BicliqueCover, ps: PointSet):
+def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> list:
+    """Weighted cells of every biclique of the cover, in true doubled x."""
     xs, ys = ps.xs, ps.ys
-    out = []
+    cells: list = []
     for b in cover.bicliques:
         bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-        out.append((bx2, by2[::-1], ax2, ay2[::-1],
-                    len(bx2), len(ax2), flipped))
-    return out
+        for x1, y1, x2, y2, w in biclique_cells(bx2, by2, ax2, ay2, eps):
+            if flipped:
+                x1, x2 = -x2, -x1
+            cells.append((x1, y1, x2, y2, w))
+    return cells
+
+
+def _leaf_ranges(cells: list):
+    """The x-sweep over the cells: (ybreaks, xs, ranges), where leaf j is
+    the y-slab [ybreaks[j], ybreaks[j+1]) and ranges[i] lists the (lo, hi, w)
+    leaf-range updates that take effect at x = xs[i] (xs ascending)."""
+    ybreaks = sorted({c[1] for c in cells} | {c[3] + 1 for c in cells})
+    events: dict[int, list] = {}
+    for x1, y1, x2, y2, w in cells:
+        lo = bisect_left(ybreaks, y1)
+        hi = bisect_left(ybreaks, y2 + 1) - 1
+        events.setdefault(x1, []).append((lo, hi, w))
+        events.setdefault(x2 + 1, []).append((lo, hi, -w))
+    xs = sorted(events)
+    return ybreaks, xs, [events[x] for x in xs]
 
 
 def exact_depth_at(cover: BicliqueCover, ps: PointSet,
                    q: tuple[Coord, Coord]) -> int:
-    """Exact rectangle depth via the cover: sums k*l over bicliques."""
+    """Exact rectangle depth via the cover: sums k*l over bicliques, where
+    k counts the B points dominated by q and l the A points dominating it
+    (a prefix and a suffix of each staircase overlap in exactly those)."""
     qx2, qy2 = dbl(q[0]), dbl(q[1])
+    xs, ys = ps.xs, ps.ys
     total = 0
-    for bx2, by2a, ax2, ay2a, t, s, flipped in _stab_sides(cover, ps):
+    for b in cover.bicliques:
+        bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
         zx = -qx2 if flipped else qx2
-        total += _biclique_stab2((bx2, by2a, ax2, ay2a, t, s), zx, qy2)
+        k = bisect_right(bx2, zx) + bisect_right(by2[::-1], qy2) - len(bx2)
+        if k > 0:
+            ell = len(ax2) - bisect_left(ax2, zx) - bisect_left(ay2[::-1], qy2)
+            if ell > 0:
+                total += k * ell
     return total
 
 
@@ -290,27 +311,30 @@ class _PersistentSums:
         self.rch = [0]
         self.val = [0]
 
-    def _clone(self, node: int, dv: int) -> int:
-        self.lch.append(self.lch[node])
-        self.rch.append(self.rch[node])
-        self.val.append(self.val[node] + dv)
-        return len(self.val) - 1
-
     def add(self, root: int, lo: int, hi: int, w: int) -> int:
-        """New root with w added on leaf range [lo, hi]."""
-
-        def rec(node: int, nlo: int, nhi: int) -> int:
+        """New root with w added on leaf range [lo, hi] (non-empty, inside
+        the tree).  Copies every node that meets the range, in pre-order;
+        each copy is linked into the copy of its parent."""
+        lch, rch, val = self.lch, self.rch, self.val
+        new_root = len(val)
+        todo = [(root, 0, self.n - 1, None, 0)]  # node, span, parent link
+        while todo:
+            node, nlo, nhi, links, parent = todo.pop()
+            fresh = len(val)
+            lch.append(lch[node])
+            rch.append(rch[node])
+            if links is not None:
+                links[parent] = fresh
             if lo <= nlo and nhi <= hi:
-                return self._clone(node, w)
-            if nhi < lo or hi < nlo:
-                return node
+                val.append(val[node] + w)
+                continue
+            val.append(val[node])
             mid = (nlo + nhi) // 2
-            fresh = self._clone(node, 0)
-            self.lch[fresh] = rec(self.lch[node], nlo, mid)
-            self.rch[fresh] = rec(self.rch[node], mid + 1, nhi)
-            return fresh
-
-        return rec(root, 0, self.n - 1)
+            if mid < hi:
+                todo.append((rch[node], mid + 1, nhi, rch, fresh))
+            if lo <= mid:
+                todo.append((lch[node], nlo, mid, lch, fresh))
+        return new_root
 
     def point_sum(self, root: int, leaf: int) -> int:
         acc = 0
@@ -340,30 +364,15 @@ class DepthIndex:
         if cover is None:
             cover = build_cover(ps)
         self.cover = cover
-        xs, ys = ps.xs, ps.ys
-        cells: list = []
-        for b in cover.bicliques:
-            bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-            for x1, y1, x2, y2, w in biclique_cells(bx2, by2, ax2, ay2, eps):
-                if flipped:
-                    x1, x2 = -x2, -x1
-                cells.append((x1, y1, x2, y2, w))
+        cells = _cover_cells(cover, ps, eps)
         self.cell_count = len(cells)
-        ybreaks = sorted({c[1] for c in cells} | {c[3] + 1 for c in cells})
-        self._ybreaks = ybreaks
-        self._tree = _PersistentSums(max(len(ybreaks) - 1, 1))
-        events: dict[int, list] = {}
-        for x1, y1, x2, y2, w in cells:
-            events.setdefault(x1, []).append((y1, y2, w))
-            events.setdefault(x2 + 1, []).append((y1, y2, -w))
-        self._xthresholds = sorted(events)
+        self._ybreaks, self._xthresholds, ranges = _leaf_ranges(cells)
+        self._tree = tree = _PersistentSums(max(len(self._ybreaks) - 1, 1))
         self._roots = []
         root = 0
-        for x in self._xthresholds:
-            for y1, y2, w in events[x]:
-                lo = bisect_left(ybreaks, y1)
-                hi = bisect_left(ybreaks, y2 + 1) - 1
-                root = self._tree.add(root, lo, hi, w)
+        for updates in ranges:
+            for lo, hi, w in updates:
+                root = tree.add(root, lo, hi, w)
             self._roots.append(root)
 
     def query2(self, qx2: int, qy2: int) -> int:
@@ -393,7 +402,9 @@ def query_depth(ix: DepthIndex, q: tuple[Coord, Coord]) -> int:
 
 
 class _MaxCoverTree:
-    """Mutable segment tree: range add, global max of path sums, argmax."""
+    """Mutable segment tree: range add, global max of path sums, argmax.
+    Node v keeps add[v], the weight added on its whole span, and best[v],
+    add[v] plus the larger best of its children."""
 
     def __init__(self, leaves: int):
         self.n = max(leaves, 1)
@@ -405,19 +416,28 @@ class _MaxCoverTree:
         self.best = [0] * (2 * size)
 
     def update(self, lo: int, hi: int, w: int):
-        def rec(node, nlo, nhi):
-            if lo <= nlo and nhi <= hi:
-                self.add[node] += w
-            elif not (nhi < lo or hi < nlo):
-                mid = (nlo + nhi) // 2
-                rec(2 * node, nlo, mid)
-                rec(2 * node + 1, mid + 1, nhi)
-            child = 0
-            if nlo != nhi:
-                child = max(self.best[2 * node], self.best[2 * node + 1])
-            self.best[node] = self.add[node] + child
-
-        rec(1, 0, self.size - 1)
+        """Add w on leaves [lo, hi]: bottom-up over the canonical nodes of
+        the range, then refresh best on the two boundary leaf paths, which
+        hold every ancestor of a canonical node."""
+        add, best = self.add, self.best
+        left, right = lo + self.size, hi + self.size + 1
+        edges = (left >> 1, (right - 1) >> 1)
+        while left < right:
+            if left & 1:
+                add[left] += w
+                best[left] += w
+                left += 1
+            if right & 1:
+                right -= 1
+                add[right] += w
+                best[right] += w
+            left >>= 1
+            right >>= 1
+        for node in edges:
+            while node:
+                a, b = best[2 * node], best[2 * node + 1]
+                best[node] = add[node] + (a if a >= b else b)
+                node >>= 1
 
     def max_value(self) -> int:
         return self.best[1]
@@ -437,33 +457,37 @@ def approx_max_depth(ps: PointSet, eps: float):
     """Deepest cell of the overlay: ((x, y), value) with value within
     (1-eps) of the true maximum and never above it."""
     _check_eps(eps)
-    ix = DepthIndex(ps, eps)
-    cells = []
-    xs, ys = ps.xs, ps.ys
-    for b in ix.cover.bicliques:
-        bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-        for x1, y1, x2, y2, w in biclique_cells(bx2, by2, ax2, ay2, eps):
-            if flipped:
-                x1, x2 = -x2, -x1
-            cells.append((x1, y1, x2, y2, w))
-    ybreaks = ix._ybreaks
+    cells = _cover_cells(build_cover(ps), ps, eps)
+    ybreaks, xs, ranges = _leaf_ranges(cells)
     tree = _MaxCoverTree(max(len(ybreaks) - 1, 1))
-    events: dict[int, list] = {}
-    for x1, y1, x2, y2, w in cells:
-        events.setdefault(x1, []).append((y1, y2, w))
-        events.setdefault(x2 + 1, []).append((y1, y2, -w))
     best_val = 0
     best_xy = (2 * ps.xs[0], 2 * ps.ys[0])
-    for x in sorted(events):
-        for y1, y2, w in events[x]:
-            lo = bisect_left(ybreaks, y1)
-            hi = bisect_left(ybreaks, y2 + 1) - 1
+    for x, updates in zip(xs, ranges):
+        for lo, hi, w in updates:
             tree.update(lo, hi, w)
         v = tree.max_value()
         if v > best_val:
             best_val = v
             best_xy = (x, ybreaks[tree.argmax_leaf()])
     return (Fraction(best_xy[0], 2), Fraction(best_xy[1], 2)), best_val
+
+
+def _slabs(ps: PointSet):
+    """Pre-order walk of the x-median recursion: (level, ids, sub, c2,
+    cover) for every slab of at least two points, where ids are the slab's
+    points in x order, sub is them as a point set (local ids), c2 the
+    doubled x of the splitting line and cover the compact cover of sub."""
+    todo = [(0, list(ps.by_x))]
+    while todo:
+        level, ids = todo.pop()
+        if len(ids) < 2:
+            continue
+        sub = validate([(ps.xs[i], ps.ys[i]) for i in ids])
+        mid = len(ids) // 2
+        c2 = 2 * ps.xs[ids[mid]]
+        yield level, ids, sub, c2, build_cover(sub)
+        todo.append((level + 1, ids[mid:]))
+        todo.append((level + 1, ids[:mid]))
 
 
 def _line_max(cover: BicliqueCover, sub: PointSet, c2: int):
@@ -510,26 +534,13 @@ def log_approx_max_depth(ps: PointSet):
     the winning point."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    order = list(ps.by_x)
-    best: list = [0, None]  # value, (x2, y2)
-
-    def rec(ids: list[int]):
-        if len(ids) < 2:
-            return
-        sub = validate([(ps.xs[i], ps.ys[i]) for i in ids])
-        mid = len(ids) // 2
-        c2 = 2 * ps.xs[ids[mid]]
-        cov = build_cover(sub)
+    best_val, best_xy = 0, None
+    for _, _, sub, c2, cov in _slabs(ps):
         got = _line_max(cov, sub, c2)
-        if got is not None and got[0] > best[0]:
-            best[0] = got[0]
-            best[1] = (c2, got[1])
-        rec(ids[:mid])
-        rec(ids[mid:])
-
-    rec(order)
-    assert best[1] is not None
-    point = (Fraction(best[1][0], 2), Fraction(best[1][1], 2))
+        if got is not None and got[0] > best_val:
+            best_val, best_xy = got[0], (c2, got[1])
+    assert best_xy is not None
+    point = (Fraction(best_xy[0], 2), Fraction(best_xy[1], 2))
     full = build_cover(ps)
     value = exact_depth_at(full, ps, point)
     return point, value
@@ -547,14 +558,7 @@ def approx_mis(ps: PointSet) -> list[Rect]:
     if ps.n < 2:
         raise ValueError("need at least two points")
     levels: dict[int, list] = {}
-
-    def rec(ids: list[int], depth: int):
-        if len(ids) < 2:
-            return
-        sub = validate([(ps.xs[i], ps.ys[i]) for i in ids])
-        mid = len(ids) // 2
-        c2 = 2 * ps.xs[ids[mid]]
-        cov = build_cover(sub)
+    for level, ids, sub, c2, cov in _slabs(ps):
         cands = []
         for b in cov.bicliques:
             if b.orientation == ORIENT_DOM:
@@ -565,16 +569,12 @@ def approx_mis(ps: PointSet) -> list[Rect]:
             if 2 * r.lo[0] <= c2 <= 2 * r.hi[0]:
                 cands.append((r.lo[1], r.hi[1], ids[low], ids[high]))
         cands.sort(key=lambda c: c[1])
-        chosen = levels.setdefault(depth, [])
+        chosen = levels.setdefault(level, [])
         last_hi = None
         for y1, y2, ga, gb in cands:
             if last_hi is None or y1 > last_hi:
                 chosen.append(rect_of(ps[ga], ps[gb]))
                 last_hi = y2
-        rec(ids[:mid], depth + 1)
-        rec(ids[mid:], depth + 1)
-
-    rec(list(ps.by_x), 0)
     if not levels:
         return []
     return max(levels.values(), key=len)

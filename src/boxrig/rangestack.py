@@ -210,12 +210,6 @@ class RangeStack:
         return Snapshot(t, self._v_forest[t], self._v_buffer[t],
                         self._v_blen[t], self._v_size[t])
 
-    def _record(self):
-        self._v_forest.append(self._fhead)
-        self._v_buffer.append(self._bhead)
-        self._v_blen.append(self._buffer_len)
-        self._v_size.append(self._size)
-
     # -- tree creation ------------------------------------------------------
 
     def _new_tree(self, rank: int, lorig: int, rorig: int) -> int:
@@ -294,26 +288,7 @@ class RangeStack:
         except that only the final state is snapshotted."""
         if count:
             self._pop_body(count)
-        if self._size and key <= self._top:
-            raise NonMonotoneKey(f"key {key!r} <= current top {self._top!r}")
-        self._top = key
-        if self.buffered:
-            self._bhead = (key, payload, self._bhead)
-            self._buf_list.append((key, payload))
-            self._buffer_len += 1
-            if self._buffer_len > self.tau:
-                self._flush()
-        else:
-            self._ekeys.append(key)
-            self._epayload.append(payload)
-            self._insert_tree(self._new_tree(0, -1, -1))
-        self._size += 1
-        self._v_forest.append(self._fhead)
-        self._v_buffer.append(self._bhead)
-        self._v_blen.append(self._buffer_len)
-        vs = self._v_size
-        vs.append(self._size)
-        return len(vs) - 1
+        return self.push(key, payload)
 
     def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
         """Bulk arrivals for the buffered variant: for each i, pop

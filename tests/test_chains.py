@@ -1,11 +1,5 @@
-import random
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from boxrig.chains import (KINDS, MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM,
-                           CanonicalRep, TreeArena, interval_nodes, maxima,
-                           maxima_bruteforce, stitch)
+                           maxima, maxima_bruteforce)
 from conftest import small_uniform
 
 
@@ -38,129 +32,3 @@ def test_maxima_monotonicity():
             assert all(d < 0 for d in dy)
         else:
             assert all(d > 0 for d in dy)
-
-
-def _build(arena, keys):
-    return arena.build((k, k) for k in keys)
-
-
-def test_interval_nodes_bound_perfect_8():
-    arena = TreeArena()
-    root = _build(arena, range(8))
-    rep = interval_nodes(arena, root, 2, 5)  # leaves 3..6, 1-indexed
-    assert rep.expand_keys() == [2, 3, 4, 5]
-    assert len(rep.nodes) <= 2 * arena.height(root) - 1 == 5
-
-
-def test_interval_nodes_full_range_is_root():
-    arena = TreeArena()
-    root = _build(arena, range(8))
-    rep = interval_nodes(arena, root, 0, 7)
-    assert rep.nodes == [root]
-
-
-def test_interval_nodes_single_leaf():
-    arena = TreeArena()
-    root = _build(arena, range(8))
-    rep = interval_nodes(arena, root, 3, 3)
-    assert rep.expand_keys() == [3]
-    assert arena.size(rep.nodes[0]) == 1
-
-
-def test_interval_nodes_empty_range():
-    arena = TreeArena()
-    root = _build(arena, range(8))
-    assert interval_nodes(arena, root, 5, 4).nodes == []
-
-
-@given(st.integers(2, 200), st.data())
-@settings(max_examples=60, deadline=None)
-def test_interval_nodes_bound_randomized(n, data):
-    arena = TreeArena()
-    root = _build(arena, range(n))
-    lo = data.draw(st.integers(0, n - 1))
-    hi = data.draw(st.integers(lo, n - 1))
-    rep = interval_nodes(arena, root, lo, hi)
-    assert rep.expand_keys() == list(range(lo, hi + 1))
-    height = arena.height(root)
-    assert len(rep.nodes) <= 2 * height - 1
-
-
-def _maxima_points(coords):
-    """Maxima of a coordinate list as (x, y) pairs, x-increasing."""
-    pts = sorted(coords)
-    out = []
-    best = None
-    for x, y in reversed(pts):
-        if best is None or y > best:
-            out.append((x, y))
-            best = y
-    out.reverse()
-    return out
-
-
-def _rep_of(arena, pts):
-    if not pts:
-        return CanonicalRep(arena)
-    return CanonicalRep(arena, [arena.build(((x, (x, y))) for x, y in pts)])
-
-
-def test_stitch_shadows_lower_chain():
-    arena = TreeArena()
-    left = _rep_of(arena, [(1, 10)])
-    right = _rep_of(arena, [(0, 5), (2, 4)])
-    merged = stitch(left, right)
-    assert merged.expand_keys() == [1, 2]
-
-
-def test_stitch_empty_left_is_identity():
-    arena = TreeArena()
-    left = CanonicalRep(arena)
-    right = _rep_of(arena, [(0, 5), (2, 4)])
-    assert stitch(left, right).expand_keys() == [0, 2]
-
-
-def test_stitch_vertically_separated_random():
-    # upper rectangle strictly above the lower one; x ranges interleave
-    rng = random.Random(7)
-    xs = rng.sample(range(200), 40)
-    upper = [(x, rng.randrange(100, 200)) for x in xs[:20]]
-    lower = [(x, rng.randrange(0, 100)) for x in xs[20:]]
-    arena = TreeArena()
-    left = _rep_of(arena, _maxima_points(upper))
-    right = _rep_of(arena, _maxima_points(lower))
-    merged = stitch(left, right)
-    expect = _maxima_points(upper + lower)
-    assert merged.expand_payloads() == expect
-    # output stays a valid chain: x increasing, y decreasing
-    ys = [y for _, y in merged.expand_payloads()]
-    assert all(a > b for a, b in zip(ys, ys[1:]))
-
-
-def test_stitch_output_size_bound():
-    rng = random.Random(3)
-    xs = rng.sample(range(1000), 200)
-    upper = [(x, rng.randrange(500, 1000)) for x in xs[:100]]
-    lower = [(x, rng.randrange(0, 500)) for x in xs[100:]]
-    arena = TreeArena()
-    left = _rep_of(arena, _maxima_points(upper))
-    right_pts = _maxima_points(lower)
-    right = _rep_of(arena, right_pts)
-    merged = stitch(left, right)
-    import math
-    logn = math.log2(200)
-    assert len(merged.nodes) <= len(left.nodes) + 2 * logn + 1
-
-
-def test_stitch_inspects_few_elements():
-    rng = random.Random(11)
-    xs = rng.sample(range(4000), 1024)
-    upper = [(x, rng.randrange(5000, 10000)) for x in xs[:512]]
-    lower = [(x, rng.randrange(0, 5000)) for x in xs[512:]]
-    arena = TreeArena()
-    left = _rep_of(arena, _maxima_points(upper))
-    right = _rep_of(arena, _maxima_points(lower))
-    arena.elements_inspected = 0
-    stitch(left, right)
-    import math
-    assert arena.elements_inspected <= 4 * math.log2(1024)

@@ -1,12 +1,15 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from boxrig.cover import build_cover
-from boxrig.depth import (EpsOutOfRange, StaircaseLevels,
+from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
+                          _MaxCoverTree, _PersistentSums,
                           approx_max_depth, approx_mis, biclique_cells,
                           build_depth_index, exact_depth_at, in_lower_region,
                           in_upper_region, log_approx_max_depth, lower_corners,
@@ -229,6 +232,42 @@ def test_query_determinism():
     assert ix.query(q) == ix.query(q) == query_depth(ix, q)
 
 
+@pytest.mark.parametrize("leaves,seed", [(1, 0), (7, 1), (16, 2), (45, 3)])
+def test_overlay_trees_match_plain_arrays(leaves, seed):
+    rng = random.Random(seed)
+    sums = _PersistentSums(leaves)
+    best = _MaxCoverTree(leaves)
+    plain = [0] * best.size   # leaves past `leaves` pad the max tree
+    versions = [(0, list(plain))]
+    for _ in range(60):
+        lo = rng.randrange(leaves)
+        hi = rng.randrange(lo, leaves)
+        w = rng.randint(-5, 9)
+        for j in range(lo, hi + 1):
+            plain[j] += w
+        versions.append((sums.add(versions[-1][0], lo, hi, w), list(plain)))
+        best.update(lo, hi, w)
+        assert best.max_value() == max(plain)
+        assert best.argmax_leaf() == plain.index(max(plain))
+    for root, values in versions:   # every past version stays queryable
+        assert [sums.point_sum(root, j) for j in range(leaves)] == \
+            values[:leaves]
+
+
+def test_dropped_index_frees_its_tree_without_collection():
+    ps = small_uniform(60, 4)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ix = build_depth_index(ps, 0.5)
+        tree = weakref.ref(ix._tree)
+        del ix
+        assert tree() is None, "reference cycle keeps the persistent tree"
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_exact_depth_at_matches_oracle():
     ps = small_uniform(80, 5)
     cov = build_cover(ps)
@@ -246,7 +285,7 @@ def test_approx_max_two_points():
     assert brute_depth(ps, pt) >= 1
 
 
-@pytest.mark.parametrize("eps", [0.5, 0.25])
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
 def test_approx_max_two_diagonals(eps):
     ps = two_diagonals(4)
     _, dmax = brute_max_depth(ps)
@@ -255,7 +294,18 @@ def test_approx_max_two_diagonals(eps):
     assert brute_depth(ps, pt) >= v  # reported value never overstates
 
 
-@pytest.mark.parametrize("n,seed", [(50, 1), (150, 2), (200, 3)])
+def test_approx_max_builds_no_depth_index(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("approx_max_depth built a DepthIndex")
+
+    monkeypatch.setattr(DepthIndex, "__init__", refuse)
+    ps = small_uniform(40, 6)
+    _, dmax = brute_max_depth(ps)
+    _, v = approx_max_depth(ps, 0.5)
+    assert 0.5 * dmax <= v <= dmax
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (50, 1), (150, 2), (200, 3)])
 def test_approx_max_random(n, seed):
     ps = small_uniform(n, seed)
     _, dmax = brute_max_depth(ps)
