@@ -15,6 +15,8 @@ Three variants share this skeleton:
 * compact: leaf strips hold 3*ceil(log2 n) points, stacks are buffered, leaf
   strips are answered by direct scanning, and all scan/partial results merge
   into one star biclique per query point (O(n) bicliques, same weight);
+  strips whose maxima chain never outgrows the stack buffer (most strips on
+  spread-out inputs) skip the stack and answer by walking chain links;
 * k-level: k+1 stacked maxima layers per strip; an arriving point pops the
   prefix it dominates from every layer and reinserts layer i's casualties
   into layer i+1, so layer membership counts within-strip blockers exactly.
@@ -32,6 +34,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .geom import PointSet
 from .oracle import brute_k_rig, brute_rig
@@ -254,6 +258,42 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
 # compact pipeline (buffered stacks, strip floor, star merge)
 
 
+def _distribute_arrays(by_x, rank_unit, lo, lc, rc):
+    """_distribute on numpy id arrays: one mask per internal node, so the
+    split costs O(n) numpy work per tree level instead of Python loops."""
+    node_ids = [None] * len(lo)
+    node_ids[0] = np.asarray(by_x, dtype=np.int64)
+    for idx in range(len(lo)):
+        l, r = lc[idx], rc[idx]
+        if l == -1:
+            continue
+        ids = node_ids[idx]
+        left = rank_unit[ids] < lo[r]
+        node_ids[l] = ids[left]
+        node_ids[r] = ids[~left]
+    return node_ids
+
+
+def _chain_links(ys):
+    """Maxima chain of an x-sorted y sequence, as links: for each arrival i
+    the element left under it (nearest earlier larger y, -1 if none) and the
+    chain size after it arrives.  The chain after arrival i is i, below[i],
+    below[below[i]], ... in decreasing x."""
+    below: list[int] = []
+    size: list[int] = []
+    sty = [float("inf")]  # sentinel, never popped
+    sti = [-1]
+    for i, y in enumerate(ys):
+        while sty[-1] < y:
+            sty.pop()
+            sti.pop()
+        below.append(sti[-1])
+        size.append(len(sty))
+        sty.append(y)
+        sti.append(i)
+    return below, size
+
+
 def _compact_oriented(ps: PointSet, xs):
     """Compact dominance-orientation cover: (canonical parts, stars)."""
     n = ps.n
@@ -263,37 +303,38 @@ def _compact_oriented(ps: PointSet, xs):
     tau = 3 * max(1, (n - 1).bit_length())
     leaves = (n + tau - 1) // tau
     lo, hi, lc, rc = _tree_nodes(leaves)
-    rank_unit = [rank_y[i] // tau for i in range(n)]
-    node_pts = _distribute(by_x, rank_unit, lo, lc, rc)
+    rank_unit = np.asarray(rank_y, dtype=np.int64) // tau
+    node_ids = _distribute_arrays(by_x, rank_unit, lo, lc, rc)
+    x_arr = np.asarray(xs)
+    y_arr = np.asarray(ys)
     m = len(lo)
+    node_pts = [None] * m
     node_sxs = [None] * m
     node_epochs = [None] * m
     node_stacks = [None] * m
-    node_suffix = [None] * m
+    node_below = [None] * m
     node_ys = [None] * m
     leaf_node = [0] * leaves
     for idx in range(m):
-        pts = node_pts[idx]
-        node_sxs[idx] = [xs[i] for i in pts]
+        ids = node_ids[idx]
+        pts = node_pts[idx] = ids.tolist()
+        sxs = node_sxs[idx] = x_arr[ids].tolist()
+        lys = y_arr[ids].tolist()
+        node_below[idx], size = _chain_links(lys)
         if lc[idx] == -1:
             leaf_node[lo[idx]] = idx
-            node_ys[idx] = [ys[i] for i in pts]
+            node_ys[idx] = lys
             continue
         stack = RangeStack(len(pts), buffered=True)
+        if not size or max(size) <= stack.tau:
+            # the chain never outgrows the buffer: no block is ever flushed,
+            # every suffix answer is a buffer walk, i.e. a walk of the links
+            continue
         # each arrival pops the chain suffix it dominates (y below its own)
-        mny: list[int] = []
-        pops: list[int] = []
-        for pid in pts:
-            ny = -ys[pid]
-            c = 0
-            while mny and mny[-1] > ny:
-                mny.pop()
-                c += 1
-            pops.append(c)
-            mny.append(ny)
-        node_epochs[idx] = stack.run_monotone_script(node_sxs[idx], pts, pops)
+        pops = [p + 1 - s for p, s in zip([0] + size[:-1], size)]
+        node_epochs[idx] = stack.run_monotone_script(sxs, pts, pops)
         node_stacks[idx] = stack
-        node_suffix[idx] = stack.suffix_at
+    del node_ids
 
     registries: list[dict] = [{} for _ in range(m)]
     stars: list[tuple[int, list[int]]] = []
@@ -308,22 +349,19 @@ def _compact_oriented(ps: PointSet, xs):
         if within:
             # top strip is cut by the query; answer it by scanning
             idx = leaf_node[f]
-            sxs = node_sxs[idx]
             ids_ = node_pts[idx]
             lys = node_ys[idx]
             ymax = NEG_INF
             got: list[int] = []
-            for i2 in range(bisect_left(sxs, px) - 1, -1, -1):
+            for i2 in range(bisect_left(node_sxs[idx], px) - 1, -1, -1):
                 y2 = lys[i2]
-                if y2 >= py:
-                    continue
-                if r == NEG_INF:
-                    r = sxs[i2]
-                if y2 > ymax:
+                if ymax < y2 < py:
                     got.append(ids_[i2])
                     ymax = y2
-            got.reverse()
-            star.extend(got)
+            if got:
+                r = xs[got[0]]
+                got.reverse()
+                star.extend(got)
         if f:
             nodes = prefix_cache.get(f)
             if nodes is None:
@@ -337,22 +375,20 @@ def _compact_oriented(ps: PointSet, xs):
                 last = sxs[e - 1]
                 if last <= r:
                     continue  # the whole strip prefix is shadowed
-                if lc[idx] == -1:
-                    # strip at the floor size: no stack, scan directly
+                stack = node_stacks[idx]
+                if stack is None:
+                    # floor-size strip or buffer-only stack: walk the chain
                     ids_ = node_pts[idx]
-                    lys = node_ys[idx]
-                    ymax = NEG_INF
-                    got = []
-                    for i2 in range(e - 1, -1, -1):
-                        if sxs[i2] <= r:
-                            break
-                        if lys[i2] > ymax:
-                            got.append(ids_[i2])
-                            ymax = lys[i2]
+                    below = node_below[idx]
+                    got = [ids_[e - 1]]
+                    j = below[e - 1]
+                    while j >= 0 and sxs[j] > r:
+                        got.append(ids_[j])
+                        j = below[j]
                     got.reverse()
                     star.extend(got)
                 else:
-                    canons, elems = node_suffix[idx](node_epochs[idx][e - 1], r)
+                    canons, elems = stack.suffix_at(node_epochs[idx][e - 1], r)
                     if canons:
                         reg = registries[idx]
                         for cid in canons:
