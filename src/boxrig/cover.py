@@ -15,8 +15,8 @@ Three variants share this skeleton:
 * compact: leaf strips hold 3*ceil(log2 n) points, stacks are buffered, leaf
   strips are answered by direct scanning, and all scan/partial results merge
   into one star biclique per query point (O(n) bicliques, same weight);
-  strips whose maxima chain never outgrows the stack buffer (most strips on
-  spread-out inputs) skip the stack and answer by walking chain links;
+  strips whose maxima chain never outgrows the stack buffer skip the stack
+  and answer by walking chain links;
 * k-level: k+1 stacked maxima layers per strip; an arriving point pops the
   prefix it dominates from every layer and reinserts layer i's casualties
   into layer i+1, so layer membership counts within-strip blockers exactly.
@@ -34,8 +34,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from .geom import PointSet
 from .oracle import brute_k_rig, brute_rig
@@ -258,22 +256,6 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
 # compact pipeline (buffered stacks, strip floor, star merge)
 
 
-def _distribute_arrays(by_x, rank_unit, lo, lc, rc):
-    """_distribute on numpy id arrays: one mask per internal node, so the
-    split costs O(n) numpy work per tree level instead of Python loops."""
-    node_ids = [None] * len(lo)
-    node_ids[0] = np.asarray(by_x, dtype=np.int64)
-    for idx in range(len(lo)):
-        l, r = lc[idx], rc[idx]
-        if l == -1:
-            continue
-        ids = node_ids[idx]
-        left = rank_unit[ids] < lo[r]
-        node_ids[l] = ids[left]
-        node_ids[r] = ids[~left]
-    return node_ids
-
-
 def _chain_links(ys):
     """Maxima chain of an x-sorted y sequence, as links: for each arrival i
     the element left under it (nearest earlier larger y, -1 if none) and the
@@ -303,12 +285,9 @@ def _compact_oriented(ps: PointSet, xs):
     tau = 3 * max(1, (n - 1).bit_length())
     leaves = (n + tau - 1) // tau
     lo, hi, lc, rc = _tree_nodes(leaves)
-    rank_unit = np.asarray(rank_y, dtype=np.int64) // tau
-    node_ids = _distribute_arrays(by_x, rank_unit, lo, lc, rc)
-    x_arr = np.asarray(xs)
-    y_arr = np.asarray(ys)
+    rank_unit = [rank_y[i] // tau for i in range(n)]
+    node_pts = _distribute(by_x, rank_unit, lo, lc, rc)
     m = len(lo)
-    node_pts = [None] * m
     node_sxs = [None] * m
     node_epochs = [None] * m
     node_stacks = [None] * m
@@ -316,25 +295,23 @@ def _compact_oriented(ps: PointSet, xs):
     node_ys = [None] * m
     leaf_node = [0] * leaves
     for idx in range(m):
-        ids = node_ids[idx]
-        pts = node_pts[idx] = ids.tolist()
-        sxs = node_sxs[idx] = x_arr[ids].tolist()
-        lys = y_arr[ids].tolist()
+        pts = node_pts[idx]
+        sxs = node_sxs[idx] = [xs[i] for i in pts]
+        lys = [ys[i] for i in pts]
         node_below[idx], size = _chain_links(lys)
         if lc[idx] == -1:
             leaf_node[lo[idx]] = idx
             node_ys[idx] = lys
             continue
-        stack = RangeStack(len(pts), buffered=True)
-        if not size or max(size) <= stack.tau:
-            # the chain never outgrows the buffer: no block is ever flushed,
-            # every suffix answer is a buffer walk, i.e. a walk of the links
+        if max(size, default=0) <= RangeStack.buffer_limit(len(pts)):
+            # a stack would never flush a block, so every suffix answer
+            # would be a buffer walk, i.e. a walk of the links
             continue
+        stack = RangeStack(len(pts), buffered=True)
         # each arrival pops the chain suffix it dominates (y below its own)
         pops = [p + 1 - s for p, s in zip([0] + size[:-1], size)]
         node_epochs[idx] = stack.run_monotone_script(sxs, pts, pops)
         node_stacks[idx] = stack
-    del node_ids
 
     registries: list[dict] = [{} for _ in range(m)]
     stars: list[tuple[int, list[int]]] = []

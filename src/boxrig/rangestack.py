@@ -114,9 +114,8 @@ class RangeStack:
     def __init__(self, capacity: int, buffered: bool = False):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        logc = max(1, (capacity - 1).bit_length())
-        self.block = logc if buffered else 1
-        self.tau = 3 * logc if buffered else 0
+        self.block = max(1, (capacity - 1).bit_length()) if buffered else 1
+        self.tau = self.buffer_limit(capacity) if buffered else 0
         self.buffered = buffered
         # canonical element storage: one contiguous run per created tree
         self._ekeys: list = []
@@ -138,6 +137,15 @@ class RangeStack:
         self._v_buffer: list = [None]
         self._v_blen: list[int] = [0]
         self._v_size: list[int] = [0]
+
+    @staticmethod
+    def buffer_limit(capacity: int) -> int:
+        """tau of a buffered stack of this capacity.  The buffer flushes a
+        block only when it holds more than tau elements, so a stack whose
+        size never exceeds tau has no canonical sets and suffix_at answers
+        from the buffer alone: the live elements above the cut, in key
+        order."""
+        return 3 * max(1, (capacity - 1).bit_length())
 
     # -- basic accessors ----------------------------------------------------
 
