@@ -35,6 +35,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .geom import PointSet
 from .oracle import brute_k_rig, brute_rig
 from .rangestack import NEG_INF, RangeStack
@@ -139,19 +141,21 @@ def _prefix_nodes_desc(lo, hi, lc, rc, f: int) -> list[int]:
 
 
 def _distribute(by_x, rank_unit, lo, lc, rc):
-    """Split the x-sorted id list down the tree (stable, so every node's
-    list stays x-sorted)."""
-    node_pts = [None] * len(lo)
-    node_pts[0] = list(by_x)
+    """Split the x-sorted ids down the tree (stable, so every node's ids
+    stay x-sorted).  Numpy id arrays with one mask per internal node: the
+    split costs O(n) numpy work per tree level, not a Python loop."""
+    node_ids = [None] * len(lo)
+    node_ids[0] = np.asarray(by_x, dtype=np.int64)
+    rank_unit = np.asarray(rank_unit, dtype=np.int64)
     for idx in range(len(lo)):
         l, r = lc[idx], rc[idx]
         if l == -1:
             continue
-        midu = lo[r]
-        pts = node_pts[idx]
-        node_pts[l] = [p for p in pts if rank_unit[p] < midu]
-        node_pts[r] = [p for p in pts if rank_unit[p] >= midu]
-    return node_pts
+        ids = node_ids[idx]
+        left = rank_unit[ids] < lo[r]
+        node_ids[l] = ids[left]
+        node_ids[r] = ids[~left]
+    return node_ids
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +171,13 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
     rank_y = ps.rank_y
     by_x = list(ps.by_x) if xs is ps.xs else list(reversed(ps.by_x))
     lo, hi, lc, rc = _tree_nodes(n)
-    node_pts = _distribute(by_x, rank_y, lo, lc, rc)
+    node_ids = _distribute(by_x, rank_y, lo, lc, rc)
     m = len(lo)
     node_sxs = [None] * m
     node_epochs = [None] * m
     node_stacks = [None] * m
     for idx in range(m):
-        pts = node_pts[idx]
+        pts = node_ids[idx].tolist()
         stacks = [RangeStack(max(len(pts), 1)) for _ in range(k + 1)]
         mny = [[] for _ in range(k + 1)]   # -y, ascending == stack order
         mx = [[] for _ in range(k + 1)]
@@ -285,9 +289,11 @@ def _compact_oriented(ps: PointSet, xs):
     tau = 3 * max(1, (n - 1).bit_length())
     leaves = (n + tau - 1) // tau
     lo, hi, lc, rc = _tree_nodes(leaves)
-    rank_unit = [rank_y[i] // tau for i in range(n)]
-    node_pts = _distribute(by_x, rank_unit, lo, lc, rc)
+    node_ids = _distribute(by_x, np.asarray(rank_y) // tau, lo, lc, rc)
+    x_arr = np.asarray(xs)
+    y_arr = np.asarray(ys)
     m = len(lo)
+    node_pts = [None] * m
     node_sxs = [None] * m
     node_epochs = [None] * m
     node_stacks = [None] * m
@@ -295,9 +301,10 @@ def _compact_oriented(ps: PointSet, xs):
     node_ys = [None] * m
     leaf_node = [0] * leaves
     for idx in range(m):
-        pts = node_pts[idx]
-        sxs = node_sxs[idx] = [xs[i] for i in pts]
-        lys = [ys[i] for i in pts]
+        ids = node_ids[idx]
+        pts = node_pts[idx] = ids.tolist()
+        sxs = node_sxs[idx] = x_arr[ids].tolist()
+        lys = y_arr[ids].tolist()
         node_below[idx], size = _chain_links(lys)
         if lc[idx] == -1:
             leaf_node[lo[idx]] = idx

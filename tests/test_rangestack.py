@@ -246,9 +246,12 @@ def test_buffered_flush_rule_n256():
 
 def test_buffered_small_scripts_make_no_canonicals():
     s = RangeStack(256, buffered=True)
+    assert s.tau == RangeStack.buffer_limit(256)
     for k in range(s.tau):
-        s.push(k)
+        s.push(k, -k)
     assert s.created_count == 0
+    # the compact cover walks chain links in place of such a stack
+    assert s.suffix_at(s.step, 9) == ([], [(k, -k) for k in range(10, s.tau)])
 
 
 def test_buffered_canonical_sizes_at_least_block():
