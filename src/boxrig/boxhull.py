@@ -6,6 +6,15 @@ point, is strictly dominated by a minima point, or strictly anti-relates to
 the up-left / down-right chains.  Membership is therefore four binary
 searches.  The boundary is the four staircases through the chains, joined
 at the leftmost / bottommost / rightmost / topmost points.
+
+A witness (an empty rectangle covering a hull point q) is found from the
+four quadrant extremes of q.  The hull keeps the coordinates in x order as
+arrays, so each extreme is a numpy reduction over the slice on one side of
+q's x rank, and the emptiness of a candidate rectangle is one vectorised
+test of the y values ranked strictly between its two supports in x.  When a
+quadrant is empty, consecutive points of the hull's stored chain next to q
+give the witness.  A query costs O(log n) Python steps plus O(n) numpy
+work, with no Python loop over the points.
 """
 
 from __future__ import annotations
@@ -36,23 +45,40 @@ def _staircase(pts, corner) -> list[tuple[int, int]]:
     return out
 
 
+def _coord_array(vals: list) -> np.ndarray:
+    """int64 array of the coordinates; object dtype when one exceeds int64."""
+    try:
+        return np.fromiter(vals, dtype=np.int64, count=len(vals))
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
 class BoxHull:
     """Queryable hull: four chains (doubled coordinates for exact closed
-    comparisons), boundary polygon, and exact area."""
+    comparisons), boundary polygon, and exact area.  The coordinates in x
+    order (``_xo``, ``_yo``) and the chain ids serve the witness search."""
 
     def __init__(self, ps: PointSet):
         if ps.n < 2:
             raise ValueError("need at least two points")
         self.ps = ps
         xs, ys = ps.xs, ps.ys
+        x_of = _coord_array(xs)
+        order = np.argsort(x_of)     # all x distinct: this is ps.by_x
+        self._xo = x_of[order]
+        self._yo = _coord_array(ys)[order]
+        self._ne_ids = maxima(ps, MAX_DOM).ids
+        self._sw_ids = maxima(ps, MIN_DOM).ids
+        self._nw_ids = maxima(ps, MAX_ANTI).ids
+        self._se_ids = maxima(ps, MIN_ANTI).ids
 
-        def pts_of(kind):
-            return [(xs[i], ys[i]) for i in maxima(ps, kind).ids]
+        def pts_of(ids):
+            return [(xs[i], ys[i]) for i in ids]
 
-        self.ne = pts_of(MAX_DOM)    # x up, y down; first = topmost, last = rightmost
-        self.sw = pts_of(MIN_DOM)    # x up, y down; first = leftmost, last = bottommost
-        self.nw = pts_of(MAX_ANTI)   # x up, y up; first = leftmost, last = topmost
-        self.se = pts_of(MIN_ANTI)   # x up, y up; first = bottommost, last = rightmost
+        self.ne = pts_of(self._ne_ids)    # x up, y down; first = topmost, last = rightmost
+        self.sw = pts_of(self._sw_ids)    # x up, y down; first = leftmost, last = bottommost
+        self.nw = pts_of(self._nw_ids)    # x up, y up; first = leftmost, last = topmost
+        self.se = pts_of(self._se_ids)    # x up, y up; first = bottommost, last = rightmost
         # doubled coordinate arrays for the membership searches
         self._ne_x = [2 * x for x, _ in self.ne]
         self._ne_y = [2 * y for _, y in self.ne]
@@ -235,21 +261,40 @@ def contains(h: BoxHull, q: tuple[Coord, Coord]) -> bool:
 # witness rectangle
 
 
-def _empty_rect_check(ps: PointSet, r: Rect) -> bool:
+def _is_empty(h: BoxHull, r: Rect) -> bool:
+    """No input point but the two supports lies in the closed rectangle.
+    Coordinates are distinct, so only points ranked strictly between the
+    supports in x can, and then exactly when their y is strictly inside."""
     a, b = r.support
-    for p in ps:
-        if p.id != a and p.id != b and r.contains(p.x, p.y):
-            return False
-    return True
+    ra, rb = sorted((h.ps.rank_x[a], h.ps.rank_x[b]))
+    ys = h._yo[ra + 1:rb]
+    return not ((ys > r.lo[1]) & (ys < r.hi[1])).any()
 
 
-def _consecutive_witness(ps, chain_pts, chain_ids, qx2, qy2):
-    cx2 = [2 * x for x, _ in chain_pts]
+def _covers2(r: Rect, qx2: int, qy2: int) -> bool:
+    return 2 * r.lo[0] <= qx2 <= 2 * r.hi[0] and 2 * r.lo[1] <= qy2 <= 2 * r.hi[1]
+
+
+def _extreme(h: BoxHull, start: int, stop: int, up: bool, y: int):
+    """Id of the lowest point with y-coordinate >= y (up) or the highest
+    with y-coordinate <= y (not up) among x-order positions [start, stop),
+    or None."""
+    ys = h._yo[start:stop]
+    idx = (ys >= y if up else ys <= y).nonzero()[0]
+    if not len(idx):
+        return None
+    k = ys[idx].argmin() if up else ys[idx].argmax()
+    return h.ps.by_x[start + int(idx[k])]
+
+
+def _consecutive_witness(ps, cx2, chain_ids, qx2, qy2):
+    """Rectangle of two consecutive chain points around q, if one covers
+    it; cx2 holds the chain's doubled x coordinates."""
     i = bisect_right(cx2, qx2) - 1
     for j in (i, i - 1, i + 1):
-        if 0 <= j < len(chain_pts) - 1:
+        if 0 <= j < len(chain_ids) - 1:
             r = rect_of(ps[chain_ids[j]], ps[chain_ids[j + 1]])
-            if 2 * r.lo[0] <= qx2 <= 2 * r.hi[0] and 2 * r.lo[1] <= qy2 <= 2 * r.hi[1]:
+            if _covers2(r, qx2, qy2):
                 return r
     return None
 
@@ -257,49 +302,38 @@ def _consecutive_witness(ps, chain_pts, chain_ids, qx2, qy2):
 def witness_rect(ps: PointSet, h: BoxHull, q: tuple[Coord, Coord]) -> Rect:
     """An empty rectangle containing q, by four-quadrant case analysis:
     antipodal extreme pair when possible, otherwise the extreme point of the
-    empty horizontal slab, otherwise consecutive extremal-chain points."""
+    empty horizontal slab, otherwise consecutive extremal-chain points.
+    Answers from h's arrays, so ps must be the point set h was built on."""
+    if ps is not h.ps:
+        raise ValueError("witness_rect needs the point set its hull was built from")
     qx2, qy2 = dbl(q[0]), dbl(q[1])
     if not h.contains(q):
         raise NotInHull(f"{q!r} is outside the hull")
-    xs2 = np.asarray(ps.xs, dtype=np.int64) * 2
-    ys2 = np.asarray(ps.ys, dtype=np.int64) * 2
-    exact = np.nonzero((xs2 == qx2) & (ys2 == qy2))[0]
-    if len(exact):
+    xo, yo, by_x, ys = h._xo, h._yo, ps.by_x, ps.ys
+    # x-order positions [0, hi) have x <= qx, [lo, n) have x >= qx; an input
+    # point on the vertical line through q sits at lo = hi - 1
+    lo = int(np.searchsorted(xo, -(-qx2 // 2), side="left"))
+    hi = int(np.searchsorted(xo, qx2 // 2, side="right"))
+    if lo < hi and 2 * int(yo[lo]) == qy2:
         # the query is an input point; its consecutive x-neighbour always
         # supports an empty rectangle with it
-        pid = int(exact[0])
-        r = ps.rank_x[pid]
-        nb = ps.by_x[r + 1] if r + 1 < ps.n else ps.by_x[r - 1]
-        return rect_of(ps[pid], ps[nb])
-    right = xs2 >= qx2
-    left = xs2 <= qx2
-    up = ys2 >= qy2
-    down = ys2 <= qy2
-    quads = [right & up, left & up, left & down, right & down]
-
-    def lowest(mask):
-        idx = np.nonzero(mask)[0]
-        return int(idx[np.argmin(ys2[idx])]) if len(idx) else -1
-
-    def highest(mask):
-        idx = np.nonzero(mask)[0]
-        return int(idx[np.argmax(ys2[idx])]) if len(idx) else -1
+        nb = by_x[lo + 1] if lo + 1 < ps.n else by_x[lo - 1]
+        return rect_of(ps[by_x[lo]], ps[nb])
+    y_up, y_down = -(-qy2 // 2), qy2 // 2     # y >= qy, y <= qy
+    # extreme point of each closed quadrant: lowest above q (p1 right, p2
+    # left), highest below q (p3 left, p4 right); None when empty
+    p1, p2 = _extreme(h, lo, ps.n, True, y_up), _extreme(h, 0, hi, True, y_up)
+    p3, p4 = _extreme(h, 0, hi, False, y_down), _extreme(h, lo, ps.n, False, y_down)
 
     def checked(a: int, b: int):
         if a == b:
             return None
         r = rect_of(ps[a], ps[b])
-        if (2 * r.lo[0] <= qx2 <= 2 * r.hi[0]
-                and 2 * r.lo[1] <= qy2 <= 2 * r.hi[1]
-                and _empty_rect_check(ps, r)):
-            return r
-        return None
+        return r if _covers2(r, qx2, qy2) and _is_empty(h, r) else None
 
-    if all(bool(m.any()) for m in quads):
-        p1, p2 = lowest(quads[0]), lowest(quads[1])
-        p3, p4 = highest(quads[2]), highest(quads[3])
-        lt = p1 if ys2[p1] <= ys2[p2] else p2          # lower of the two tops
-        hb = p3 if ys2[p3] >= ys2[p4] else p4          # higher of the two bottoms
+    if None not in (p1, p2, p3, p4):
+        lt = p1 if ys[p1] <= ys[p2] else p2          # lower of the two tops
+        hb = p3 if ys[p3] >= ys[p4] else p4          # higher of the two bottoms
         antipodal = ((lt == p1 and hb == p3) or (lt == p2 and hb == p4))
         if antipodal:
             r = checked(lt, hb)
@@ -309,25 +343,22 @@ def witness_rect(ps: PointSet, h: BoxHull, q: tuple[Coord, Coord]) -> Rect:
             # slab between the higher top point and the lower bottom point;
             # both sit on one side, so probe the other side for the point
             # nearest the slab wall and pair it with the diagonal definer
-            y_top = max(ys2[p1], ys2[p2])
-            y_bot = min(ys2[p3], ys2[p4])
-            in_slab = (ys2 > y_bot) & (ys2 < y_top)
-            if lt == p2:  # definers p1, p4 on the right; probe the left side
-                cand = np.nonzero(in_slab & (xs2 < qx2))[0]
-                if len(cand):
-                    pp = int(cand[np.argmax(xs2[cand])])
-                    partner = p4 if ys2[pp] >= qy2 else p1
-                    r = checked(pp, partner)
-                    if r is not None:
-                        return r
-            else:        # definers p2, p3 on the left; probe the right side
-                cand = np.nonzero(in_slab & (xs2 > qx2))[0]
-                if len(cand):
-                    pp = int(cand[np.argmin(xs2[cand])])
-                    partner = p3 if ys2[pp] >= qy2 else p2
-                    r = checked(pp, partner)
-                    if r is not None:
-                        return r
+            y_top = max(ys[p1], ys[p2])
+            y_bot = min(ys[p3], ys[p4])
+            if lt == p2:  # definers p1, p4 on the right; probe x < qx
+                side = yo[:lo]
+                cand = ((side > y_bot) & (side < y_top)).nonzero()[0]
+                pp = by_x[int(cand[-1])] if len(cand) else None
+                partners = (p4, p1)
+            else:         # definers p2, p3 on the left; probe x > qx
+                side = yo[hi:]
+                cand = ((side > y_bot) & (side < y_top)).nonzero()[0]
+                pp = by_x[hi + int(cand[0])] if len(cand) else None
+                partners = (p3, p2)
+            if pp is not None:
+                r = checked(pp, partners[0] if 2 * ys[pp] >= qy2 else partners[1])
+                if r is not None:
+                    return r
         # fall through to exhaustive extreme-pair probing (tie corner cases)
         for a in (p1, p2):
             for b in (p3, p4):
@@ -335,16 +366,15 @@ def witness_rect(ps: PointSet, h: BoxHull, q: tuple[Coord, Coord]) -> Rect:
                 if r is not None:
                     return r
     chain_map = [
-        (quads[0], MAX_DOM, h.ne),
-        (quads[2], MIN_DOM, h.sw),
-        (quads[1], MAX_ANTI, h.nw),
-        (quads[3], MIN_ANTI, h.se),
+        (p1, h._ne_x, h._ne_ids),
+        (p3, h._sw_x, h._sw_ids),
+        (p2, h._nw_x, h._nw_ids),
+        (p4, h._se_x, h._se_ids),
     ]
-    for mask, kind, pts in chain_map:
-        if not mask.any():
-            ids = maxima(ps, kind).ids
-            r = _consecutive_witness(ps, pts, ids, qx2, qy2)
-            if r is not None and _empty_rect_check(ps, r):
+    for extreme, cx2, ids in chain_map:
+        if extreme is None:
+            r = _consecutive_witness(ps, cx2, ids, qx2, qy2)
+            if r is not None and _is_empty(h, r):
                 return r
     raise AssertionError(f"no witness found for {q!r}; hull membership bug")
 

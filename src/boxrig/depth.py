@@ -535,15 +535,16 @@ def log_approx_max_depth(ps: PointSet):
     if ps.n < 2:
         raise ValueError("need at least two points")
     best_val, best_xy = 0, None
-    for _, _, sub, c2, cov in _slabs(ps):
+    root = None
+    for level, _, sub, c2, cov in _slabs(ps):
+        if level == 0:
+            root = (cov, sub)    # all points: depth needs only coordinates
         got = _line_max(cov, sub, c2)
         if got is not None and got[0] > best_val:
             best_val, best_xy = got[0], (c2, got[1])
     assert best_xy is not None
     point = (Fraction(best_xy[0], 2), Fraction(best_xy[1], 2))
-    full = build_cover(ps)
-    value = exact_depth_at(full, ps, point)
-    return point, value
+    return point, exact_depth_at(*root, point)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import boxrig.boxhull
 from boxrig.boxhull import (NotInHull, build_hull, disjoint_cover,
                             witness_rect)
-from boxrig.geom import validate
+from boxrig.geom import PointSet, validate
+from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_hull_members, brute_rig, hull_union_area,
                            union_area)
-from conftest import small_uniform
+from conftest import small_uniform, two_diagonals
 
 
 def grid_queries(ps, count, seed, pad=2):
@@ -155,17 +157,71 @@ def test_witness_not_in_hull():
         witness_rect(ps, h, (5, 5))
 
 
-def test_witness_oracle_sweep():
+def witness_sets():
+    """Uniform sets, plus extremal ones where quadrants of a hull point are
+    often empty and the chain fallback answers."""
     for n, seed in [(12, 0), (30, 1), (80, 2), (150, 3)]:
-        ps = small_uniform(n, seed)
+        yield small_uniform(n, seed), seed
+    yield two_diagonals(12), 4
+    yield gen_lower_bound(10).ps, 5
+    # the same families mirrored, so every chain kind takes the fallback
+    yield validate([(-x, y) for x, y in two_diagonals(9).coords()]), 6
+    yield validate([(x, -y) for x, y in gen_lower_bound(8).ps.coords()]), 7
+
+
+def test_witness_oracle_sweep():
+    for ps, seed in witness_sets():
         h = build_hull(ps)
         edges = brute_rig(ps)
         qs = [q for q in grid_queries(ps, 400, seed + 9) if h.contains(q)]
+        qs += ps.coords()  # exact input points
         for q in qs:
             r = witness_rect(ps, h, q)
             assert r.contains(q[0], q[1])
             pair = tuple(sorted(r.support))
             assert pair in edges, f"witness {r} is not an empty rectangle"
+
+
+def test_witness_huge_coordinates():
+    # coordinates beyond int64 keep the hull's arrays exact (object dtype)
+    big = 1 << 70
+    ps = validate([(big + x, big - y) for x, y in small_uniform(40, 4).coords()])
+    h = build_hull(ps)
+    edges = brute_rig(ps)
+    for q in [q for q in grid_queries(ps, 200, 4) if h.contains(q)] + ps.coords():
+        r = witness_rect(ps, h, q)
+        assert r.contains(q[0], q[1]) and tuple(sorted(r.support)) in edges
+
+
+def test_witness_needs_the_hulls_point_set():
+    ps = small_uniform(30, 2)
+    twin = validate(ps.coords())
+    h = build_hull(ps)
+    q = ps.coords()[0]
+    with pytest.raises(ValueError) as err:
+        witness_rect(twin, h, q)
+    assert not isinstance(err.value, NotInHull)
+    assert witness_rect(ps, h, q).contains(*q)
+
+
+def test_witness_scans_no_points_in_python(monkeypatch):
+    """A built hull answers witnesses from its own arrays: neither a Python
+    pass over the point set nor a chain sweep runs per query."""
+    cases = []
+    for ps in (small_uniform(120, 8), two_diagonals(10), gen_lower_bound(9).ps):
+        h = build_hull(ps)
+        qs = [q for q in grid_queries(ps, 200, 3) if h.contains(q)] + ps.coords()
+        cases.append((ps, h, qs, brute_rig(ps)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-query scan of the point set")
+
+    monkeypatch.setattr(PointSet, "__iter__", refuse)
+    monkeypatch.setattr(boxrig.boxhull, "maxima", refuse)
+    for ps, h, qs, edges in cases:
+        for q in qs:
+            r = witness_rect(ps, h, q)
+            assert r.contains(q[0], q[1]) and tuple(sorted(r.support)) in edges
 
 
 def test_disjoint_cover_two_points():

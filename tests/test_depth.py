@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import boxrig.depth
 from boxrig.cover import build_cover
 from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
                           _MaxCoverTree, _PersistentSums,
@@ -327,6 +328,22 @@ def test_log_approx_two_diagonals():
     _, dmax = brute_max_depth(ps)
     assert v == brute_depth(ps, pt)
     assert v >= dmax / (4 * math.log2(ps.n))
+
+
+def test_log_approx_builds_the_full_cover_once(monkeypatch):
+    # the root slab's cover already spans every point; the exact depth at
+    # the winner reuses it
+    sizes = []
+
+    def counting(ps, *args, **kwargs):
+        sizes.append(ps.n)
+        return build_cover(ps, *args, **kwargs)
+
+    monkeypatch.setattr(boxrig.depth, "build_cover", counting)
+    ps = small_uniform(256, 7)
+    pt, v = log_approx_max_depth(ps)
+    assert sizes.count(256) == 1
+    assert v == exact_depth_at(build_cover(ps), ps, pt)
 
 
 @pytest.mark.parametrize("n,seed", [(60, 2), (150, 5), (300, 2)])
