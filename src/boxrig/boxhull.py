@@ -23,7 +23,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 import numpy as np
 
-from .chains import MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM, maxima
 from .geom import Coord, PointSet, Rect, dbl, rect_of
 from .rangestack import NEG_INF
 
@@ -53,6 +52,19 @@ def _coord_array(vals: list) -> np.ndarray:
         return np.array(vals, dtype=object)
 
 
+def _chain_ids(order: np.ndarray, yo: np.ndarray, extreme: np.ufunc,
+               backward: bool) -> tuple:
+    """Ids, in x order, of the points whose y is the running extreme of the
+    x-ordered sweep (from the right when backward).  All y are distinct, so
+    a point equals the extreme that includes it exactly when it sets a new
+    one: these are the four extremal chains of chains.maxima."""
+    ys = yo[::-1] if backward else yo
+    keep = np.flatnonzero(ys == extreme.accumulate(ys))
+    if backward:
+        keep = (len(ys) - 1 - keep)[::-1]
+    return tuple(order[keep].tolist())
+
+
 class BoxHull:
     """Queryable hull: four chains (doubled coordinates for exact closed
     comparisons), boundary polygon, and exact area.  The coordinates in x
@@ -66,11 +78,11 @@ class BoxHull:
         x_of = _coord_array(xs)
         order = np.argsort(x_of)     # all x distinct: this is ps.by_x
         self._xo = x_of[order]
-        self._yo = _coord_array(ys)[order]
-        self._ne_ids = maxima(ps, MAX_DOM).ids
-        self._sw_ids = maxima(ps, MIN_DOM).ids
-        self._nw_ids = maxima(ps, MAX_ANTI).ids
-        self._se_ids = maxima(ps, MIN_ANTI).ids
+        self._yo = yo = _coord_array(ys)[order]
+        self._ne_ids = _chain_ids(order, yo, np.maximum, backward=True)
+        self._sw_ids = _chain_ids(order, yo, np.minimum, backward=False)
+        self._nw_ids = _chain_ids(order, yo, np.maximum, backward=False)
+        self._se_ids = _chain_ids(order, yo, np.minimum, backward=True)
 
         def pts_of(ids):
             return [(xs[i], ys[i]) for i in ids]
@@ -435,7 +447,7 @@ def disjoint_cover(ps: PointSet) -> DisjointCover:
         if py > ys[upper[-1]]:
             chain = upper
             # partners: everything p dominates plus the point just above
-            j = bisect_left([-ys[i] for i in chain], -py)
+            j = bisect_left(chain, -py, key=lambda i: -ys[i])
             partners = chain[max(0, j - 1):]
             qx1, qy1 = xs[partners[0]], ys[partners[0]]
             if qy1 > py:
@@ -447,7 +459,7 @@ def disjoint_cover(ps: PointSet) -> DisjointCover:
                 emit(xs[qb], ys[qb], px, min(py, ys[qa]), qb, pid)
         else:
             chain = lower
-            j = bisect_left([ys[i] for i in chain], py)
+            j = bisect_left(chain, py, key=ys.__getitem__)
             partners = chain[max(0, j - 1):]
             qx1, qy1 = xs[partners[0]], ys[partners[0]]
             if qy1 < py:

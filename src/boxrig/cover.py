@@ -39,7 +39,7 @@ import numpy as np
 
 from .geom import PointSet
 from .oracle import brute_k_rig, brute_rig
-from .rangestack import NEG_INF, RangeStack
+from .rangestack import RangeStack
 
 ORIENT_DOM = "dominance"
 ORIENT_ANTI = "anti-dominance"
@@ -93,6 +93,9 @@ class BicliqueCover:
     bicliques: list
     stats: CoverStats
     n: int
+    # (point set, rank-space side view) kept by depth.exact_depth_at
+    _side_ranks: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,7 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
     ys = ps.ys
     rank_y = ps.rank_y
     by_x = list(ps.by_x) if xs is ps.xs else list(reversed(ps.by_x))
+    x_floor = xs[by_x[0]] - 1    # below every key, for any coordinate size
     lo, hi, lc, rc = _tree_nodes(n)
     node_ids = _distribute(by_x, rank_y, lo, lc, rc)
     m = len(lo)
@@ -235,7 +239,7 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
                 reg = registries[idx]
                 for lev in range(k + 1):
                     j = k - lev
-                    cut = topk[j] if len(topk) > j else NEG_INF
+                    cut = topk[j] if len(topk) > j else x_floor
                     canons, elems = stacks[lev].suffix_at(epoch[lev], cut)
                     assert not elems  # unbuffered stacks are block-exact
                     for cid in canons:
@@ -286,6 +290,8 @@ def _compact_oriented(ps: PointSet, xs):
     ys = ps.ys
     rank_y = ps.rank_y
     by_x = list(ps.by_x) if xs is ps.xs else list(reversed(ps.by_x))
+    # below every x key and every y, for any coordinate size
+    x_floor, y_floor = xs[by_x[0]] - 1, ys[ps.by_y[0]] - 1
     tau = 3 * max(1, (n - 1).bit_length())
     leaves = (n + tau - 1) // tau
     lo, hi, lc, rc = _tree_nodes(leaves)
@@ -328,14 +334,14 @@ def _compact_oriented(ps: PointSet, xs):
         px = xs[pid]
         py = ys[pid]
         f, within = divmod(t, tau)
-        r = NEG_INF
+        r = x_floor
         star: list[int] = []
         if within:
             # top strip is cut by the query; answer it by scanning
             idx = leaf_node[f]
             ids_ = node_pts[idx]
             lys = node_ys[idx]
-            ymax = NEG_INF
+            ymax = y_floor
             got: list[int] = []
             for i2 in range(bisect_left(node_sxs[idx], px) - 1, -1, -1):
                 y2 = lys[i2]

@@ -20,6 +20,12 @@ time; approx_max_depth replays it into a mutable max tree and keeps the
 deepest leaf seen.  The exact searches (log_approx_max_depth, approx_mis)
 share one pre-order walk over x-median slabs.
 
+Exact depth at a point (exact_depth_at) needs no overlay: it is the sum of
+k * l over the bicliques.  A rank-space view of the cover's sides (the x
+and y ranks of every side point, tagged with its biclique) is built once per
+cover and point set and kept on the cover, so a query is four bisects into
+the sorted coordinates plus a few numpy passes over the cover's weight.
+
 All rectangle coordinates live on the doubled-integer lattice so that
 half-open cell boundaries and half-integer queries stay exact.
 """
@@ -30,6 +36,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .cover import ORIENT_DOM, BicliqueCover, build_cover
 from .geom import Coord, PointSet, Rect, dbl, rect_of, validate
@@ -278,23 +287,73 @@ def _leaf_ranges(cells: list):
     return ybreaks, xs, [events[x] for x in xs]
 
 
+class _SideRanks:
+    """Rank-space view of a cover's sides for exact depth queries.
+
+    ``sx2``/``sy2`` are the doubled coordinates in sorted order; a query
+    becomes four rank thresholds on them.  Per orientation, each side keeps
+    the x and y ranks of its points concatenated over the orientation's
+    bicliques, beside the index of the biclique each point belongs to.  The
+    view holds no reference to the cover, and reflects its bicliques as they
+    were when the view was built."""
+
+    __slots__ = ("sx2", "sy2", "parts", "__weakref__")
+
+    def __init__(self, cover: BicliqueCover, ps: PointSet):
+        xs, ys = ps.xs, ps.ys
+        self.sx2 = [2 * xs[i] for i in ps.by_x]
+        self.sy2 = [2 * ys[i] for i in ps.by_y]
+        rank_x = np.fromiter(ps.rank_x, dtype=np.int32, count=ps.n)
+        rank_y = np.fromiter(ps.rank_y, dtype=np.int32, count=ps.n)
+        dom = [b for b in cover.bicliques if b.orientation == ORIENT_DOM]
+        anti = [b for b in cover.bicliques if b.orientation != ORIENT_DOM]
+        self.parts = []
+        for flipped, group in ((False, dom), (True, anti)):
+            sides = []
+            for members in ([b.left for b in group], [b.right for b in group]):
+                sizes = np.fromiter(map(len, members), dtype=np.int64,
+                                    count=len(members))
+                ids = np.fromiter(chain.from_iterable(members), dtype=np.int64,
+                                  count=int(sizes.sum()))
+                seg = np.repeat(np.arange(len(members), dtype=np.int32), sizes)
+                sides.append((rank_x[ids], rank_y[ids], seg))
+            self.parts.append((flipped, len(group), *sides))
+
+    def depth2(self, qx2: int, qy2: int) -> int:
+        """Sum of k*l over the bicliques: k counts the lower side's points
+        in q's closed lower quadrant, l the upper side's in the opposite
+        one (left/right swap for the anti orientation)."""
+        xle, xge = bisect_right(self.sx2, qx2), bisect_left(self.sx2, qx2)
+        yle, yge = bisect_right(self.sy2, qy2), bisect_left(self.sy2, qy2)
+        total = 0
+        for flipped, m, (lx, ly, lseg), (rx, ry, rseg) in self.parts:
+            if flipped:
+                low = (lx >= xge) & (ly < yle)
+                high = (rx < xle) & (ry >= yge)
+            else:
+                low = (lx < xle) & (ly < yle)
+                high = (rx >= xge) & (ry >= yge)
+            k = np.bincount(lseg[low], minlength=m)
+            ell = np.bincount(rseg[high], minlength=m)
+            total += int(k @ ell)
+        return total
+
+
 def exact_depth_at(cover: BicliqueCover, ps: PointSet,
                    q: tuple[Coord, Coord]) -> int:
     """Exact rectangle depth via the cover: sums k*l over bicliques, where
-    k counts the B points dominated by q and l the A points dominating it
-    (a prefix and a suffix of each staircase overlap in exactly those)."""
+    k counts the B points dominated by q and l the A points dominating it.
+    The first call on a cover (or with another point set) builds a
+    rank-space view of its sides in O(weight) and keeps it on the cover;
+    every call then costs four bisects plus a few numpy passes over the
+    cover's weight, with no Python loop over the bicliques."""
+    if ps.n != cover.n:
+        raise ValueError(f"cover has {cover.n} points, point set {ps.n}")
     qx2, qy2 = dbl(q[0]), dbl(q[1])
-    xs, ys = ps.xs, ps.ys
-    total = 0
-    for b in cover.bicliques:
-        bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-        zx = -qx2 if flipped else qx2
-        k = bisect_right(bx2, zx) + bisect_right(by2[::-1], qy2) - len(bx2)
-        if k > 0:
-            ell = len(ax2) - bisect_left(ax2, zx) - bisect_left(ay2[::-1], qy2)
-            if ell > 0:
-                total += k * ell
-    return total
+    cached = cover._side_ranks
+    if cached is None or cached[0] is not ps:
+        cached = cover._side_ranks = (ps, _SideRanks(cover, ps))
+    return cached[1].depth2(qx2, qy2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import boxrig.boxhull
+import boxrig.chains
 from boxrig.boxhull import (NotInHull, build_hull, disjoint_cover,
                             witness_rect)
+from boxrig.chains import MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM, maxima
 from boxrig.geom import PointSet, validate
 from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_hull_members, brute_rig, hull_union_area,
@@ -143,6 +145,21 @@ def test_hull_contains_orthoconvex_corners():
             assert h.contains(corner(a, b))  # reflex corner of the orthohull
 
 
+@pytest.mark.parametrize("ps", [
+    small_uniform(150, 3), two_diagonals(20), gen_lower_bound(15).ps,
+    validate([(-x, y) for x, y in gen_lower_bound(11).ps.coords()]),
+    validate([((1 << 70) + x, (1 << 66) - y)
+              for x, y in small_uniform(120, 5).coords()]),
+], ids=["uniform", "two-diagonals", "lower-bound", "lower-bound-mirrored",
+        "huge"])
+def test_hull_chains_match_maxima(ps):
+    h = build_hull(ps)
+    assert h._ne_ids == maxima(ps, MAX_DOM).ids
+    assert h._sw_ids == maxima(ps, MIN_DOM).ids
+    assert h._nw_ids == maxima(ps, MAX_ANTI).ids
+    assert h._se_ids == maxima(ps, MIN_ANTI).ids
+
+
 def test_witness_two_points():
     ps = validate([(0, 0), (3, 3)])
     h = build_hull(ps)
@@ -217,7 +234,9 @@ def test_witness_scans_no_points_in_python(monkeypatch):
         raise AssertionError("per-query scan of the point set")
 
     monkeypatch.setattr(PointSet, "__iter__", refuse)
-    monkeypatch.setattr(boxrig.boxhull, "maxima", refuse)
+    # the hull module no longer imports maxima; any use would hit these
+    monkeypatch.setattr(boxrig.boxhull, "maxima", refuse, raising=False)
+    monkeypatch.setattr(boxrig.chains, "maxima", refuse)
     for ps, h, qs, edges in cases:
         for q in qs:
             r = witness_rect(ps, h, q)
@@ -237,9 +256,24 @@ def test_disjoint_cover_chain3(chain3):
     assert dc.total_area() == 2
 
 
-def test_disjoint_cover_properties():
+def staircase(m):
+    """A falling staircase, then a rising one that shadows it point by
+    point: the sweep's live staircase stays about m long."""
+    return ([(i, -2 * i) for i in range(1, m + 1)]
+            + [(m + j, 2 * j - 2 * m - 1) for j in range(1, m + 1)])
+
+
+def disjoint_cover_sets():
     for n, seed in [(20, 1), (60, 2), (150, 9), (300, 9)]:
-        ps = small_uniform(n, seed)
+        yield small_uniform(n, seed)
+    for m in (3, 40):
+        yield validate(staircase(m))
+        yield validate([(x, -y) for x, y in staircase(m)])   # the other chain
+
+
+def test_disjoint_cover_properties():
+    for ps in disjoint_cover_sets():
+        n = ps.n
         dc = disjoint_cover(ps)
         assert len(dc) <= 3 * n
         edges = brute_rig(ps)

@@ -49,6 +49,19 @@ def test_cover_compact_path_larger():
     assert_exact(cov, ps)
 
 
+@pytest.mark.parametrize("n", [50, 150])
+@pytest.mark.parametrize("dx,dy", [(1 << 70, 0), (1 << 62, 0), (0, -(1 << 70)),
+                                   (-(1 << 64), 1 << 80)],
+                         ids=["x+2^70", "x+2^62", "y-2^70", "x-2^64,y+2^80"])
+def test_covers_exact_beyond_int64(n, dx, dy):
+    # every builder's sentinels must stay below coordinates of any size,
+    # also after the anti orientation negates x
+    ps = validate([(x + dx, y + dy) for x, y in small_uniform(n, 3).coords()])
+    assert_exact(build_cover(ps), ps)
+    assert_exact(build_cover_basic(ps), ps)
+    assert_exact(build_k_cover(ps, 2), ps, k=2)
+
+
 def test_orientations_partition_edges():
     ps = small_uniform(60, 5)
     cov = build_cover(ps)

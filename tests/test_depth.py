@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import boxrig.depth
+from boxrig.boxhull import build_hull
 from boxrig.cover import build_cover
 from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
                           _MaxCoverTree, _PersistentSums,
@@ -16,6 +17,7 @@ from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
                           in_upper_region, log_approx_max_depth, lower_corners,
                           query_depth, select_levels, upper_corners)
 from boxrig.geom import validate
+from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
                            brute_mis, brute_rig)
 from conftest import small_uniform, two_diagonals
@@ -269,14 +271,108 @@ def test_dropped_index_frees_its_tree_without_collection():
             gc.enable()
 
 
+def exact_depth_sets():
+    """Uniform, extremal and x-mirrored sets: both cover orientations carry
+    large sides, and queries fall on both sides of their separation lines."""
+    yield small_uniform(80, 5)
+    yield two_diagonals(16)
+    yield gen_lower_bound(14).ps
+    yield validate([(-x, y) for x, y in two_diagonals(13).coords()])
+    yield validate([(-x, y) for x, y in gen_lower_bound(12).ps.coords()])
+    yield validate([(-x, y) for x, y in small_uniform(60, 8).coords()])
+
+
+def exact_depth_queries(ps, rng):
+    """Box queries, input points, grid vertices and points outside the
+    hull (the bounding box corners pushed out, plus sampled shadow points)."""
+    xs, ys = sorted(ps.xs), sorted(ps.ys)
+    qs = query_grid(ps, rng, 150) + ps.coords()
+    qs += [(rng.choice(xs), rng.choice(ys)) for _ in range(80)]
+    hull = build_hull(ps)
+    outside = [q for q in query_grid(ps, rng, 200) if not hull.contains(q)]
+    outside += [(xs[0] - 1, ys[0] - 1), (xs[-1] + 1, ys[-1] + 1),
+                (xs[0] - 1, ys[-1] + 1), (Fraction(2 * xs[-1] + 1, 2), ys[0])]
+    return qs, outside
+
+
 def test_exact_depth_at_matches_oracle():
-    ps = small_uniform(80, 5)
-    cov = build_cover(ps)
     rng = random.Random(2)
-    qs = query_grid(ps, rng, 200)
-    truths = brute_depth_many(ps, qs)
-    for q, true in zip(qs, truths):
-        assert exact_depth_at(cov, ps, q) == true
+    for ps in exact_depth_sets():
+        cov = build_cover(ps)
+        qs, outside = exact_depth_queries(ps, rng)
+        truths = brute_depth_many(ps, qs + outside)
+        got = [exact_depth_at(cov, ps, q) for q in qs + outside]
+        assert got == truths.tolist()
+        assert got[len(qs):] == [0] * len(outside)
+
+
+def test_exact_depth_at_huge_coordinates():
+    # depth is translation invariant; beyond int64 the view still works on
+    # ranks, while the oracle runs on the unshifted set
+    base = small_uniform(50, 3)
+    dx, dy = 1 << 70, -(1 << 66)
+    ps = validate([(x + dx, y + dy) for x, y in base.coords()])
+    cov = build_cover(ps)
+    qs, outside = exact_depth_queries(base, random.Random(4))
+    truths = brute_depth_many(base, qs + outside)
+    got = [exact_depth_at(cov, ps, (qx + dx, qy + dy))
+           for qx, qy in qs + outside]
+    assert got == truths.tolist()
+
+
+def test_exact_depth_at_checks_the_point_set():
+    ps = small_uniform(40, 1)
+    cov = build_cover(ps)
+    with pytest.raises(ValueError):
+        exact_depth_at(cov, small_uniform(41, 1), (3, 3))
+    with pytest.raises(ValueError):
+        exact_depth_at(cov, small_uniform(39, 1), (3, 3))
+    # an equal but distinct point set rebuilds the view and answers alike
+    twin = validate(ps.coords())
+    qs = query_grid(ps, random.Random(5), 60) + ps.coords()
+    first = [exact_depth_at(cov, ps, q) for q in qs]
+    view = cov._side_ranks[1]
+    assert [exact_depth_at(cov, twin, q) for q in qs] == first
+    assert cov._side_ranks[0] is twin and cov._side_ranks[1] is not view
+    assert first == brute_depth_many(ps, qs).tolist()
+
+
+def test_exact_depth_at_answers_from_its_view(monkeypatch):
+    """After the first call the cover's bicliques are not walked again: the
+    rank-space view is built once and answers every later query."""
+    ps = small_uniform(90, 6)
+    cov = build_cover(ps)
+    qs = query_grid(ps, random.Random(7), 80) + ps.coords()
+    truths = brute_depth_many(ps, qs).tolist()
+    assert exact_depth_at(cov, ps, qs[0]) == truths[0]
+    view = cov._side_ranks[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_depth_at re-derived biclique sides")
+
+    class Unwalkable(list):
+        def __iter__(self):
+            raise AssertionError("exact_depth_at looped over the bicliques")
+
+    monkeypatch.setattr(boxrig.depth, "_oriented_sides2", refuse)
+    monkeypatch.setattr(cov, "bicliques", Unwalkable(cov.bicliques))
+    assert [exact_depth_at(cov, ps, q) for q in qs] == truths
+    assert cov._side_ranks[1] is view
+
+
+def test_dropped_cover_frees_its_depth_view_without_collection():
+    ps = small_uniform(60, 9)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cov = build_cover(ps)
+        exact_depth_at(cov, ps, ps.coords()[0])
+        view = weakref.ref(cov._side_ranks[1])
+        del cov
+        assert view() is None, "reference cycle keeps the depth view"
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_approx_max_two_points():
