@@ -23,10 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 import numpy as np
 
-from .geom import Coord, PointSet, Rect, dbl, rect_of
-from .rangestack import NEG_INF
-
-POS_INF = -NEG_INF
+from .chains import MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM, chain_ids
+from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
 
 
 class NotInHull(ValueError):
@@ -44,27 +42,6 @@ def _staircase(pts, corner) -> list[tuple[int, int]]:
     return out
 
 
-def _coord_array(vals: list) -> np.ndarray:
-    """int64 array of the coordinates; object dtype when one exceeds int64."""
-    try:
-        return np.fromiter(vals, dtype=np.int64, count=len(vals))
-    except OverflowError:
-        return np.array(vals, dtype=object)
-
-
-def _chain_ids(order: np.ndarray, yo: np.ndarray, extreme: np.ufunc,
-               backward: bool) -> tuple:
-    """Ids, in x order, of the points whose y is the running extreme of the
-    x-ordered sweep (from the right when backward).  All y are distinct, so
-    a point equals the extreme that includes it exactly when it sets a new
-    one: these are the four extremal chains of chains.maxima."""
-    ys = yo[::-1] if backward else yo
-    keep = np.flatnonzero(ys == extreme.accumulate(ys))
-    if backward:
-        keep = (len(ys) - 1 - keep)[::-1]
-    return tuple(order[keep].tolist())
-
-
 class BoxHull:
     """Queryable hull: four chains (doubled coordinates for exact closed
     comparisons), boundary polygon, and exact area.  The coordinates in x
@@ -75,14 +52,14 @@ class BoxHull:
             raise ValueError("need at least two points")
         self.ps = ps
         xs, ys = ps.xs, ps.ys
-        x_of = _coord_array(xs)
+        x_of = coord_array(xs)
         order = np.argsort(x_of)     # all x distinct: this is ps.by_x
         self._xo = x_of[order]
-        self._yo = yo = _coord_array(ys)[order]
-        self._ne_ids = _chain_ids(order, yo, np.maximum, backward=True)
-        self._sw_ids = _chain_ids(order, yo, np.minimum, backward=False)
-        self._nw_ids = _chain_ids(order, yo, np.maximum, backward=False)
-        self._se_ids = _chain_ids(order, yo, np.minimum, backward=True)
+        self._yo = yo = coord_array(ys)[order]
+        self._ne_ids = chain_ids(order, yo, MAX_DOM)
+        self._sw_ids = chain_ids(order, yo, MIN_DOM)
+        self._nw_ids = chain_ids(order, yo, MAX_ANTI)
+        self._se_ids = chain_ids(order, yo, MIN_ANTI)
 
         def pts_of(ids):
             return [(xs[i], ys[i]) for i in ids]
@@ -102,6 +79,9 @@ class BoxHull:
         self._se_y = [2 * y for _, y in self.se]
         self._sw_y_asc = self._sw_y[::-1]
         self._ne_y_asc = self._ne_y[::-1]
+        self._chains2 = tuple(coord_array(v) for v in (
+            self._ne_x, self._ne_y, self._sw_x, self._sw_y,
+            self._nw_x, self._nw_y, self._se_x, self._se_y))
         self.bbox = (min(xs), min(ys), max(xs), max(ys))
         self.boundary = self._boundary_polygon()
 
@@ -180,29 +160,19 @@ class BoxHull:
         return not self._blocked2(qx2, qy2)
 
     def contains_many2(self, qx2: np.ndarray, qy2: np.ndarray) -> np.ndarray:
-        """Vectorised membership on doubled integer coordinates."""
-        inf_lo = np.int64(NEG_INF)
-        inf_hi = np.int64(POS_INF)
-
-        def pick(arr, idx, default):
-            a = np.asarray(arr, dtype=np.int64)
-            out = np.full(len(idx), default, dtype=np.int64)
-            ok = (idx >= 0) & (idx < len(a))
-            out[ok] = a[idx[ok]]
-            return out
-
-        ne_x = np.asarray(self._ne_x, dtype=np.int64)
+        """Vectorised membership on doubled integer coordinates (object
+        arrays for coordinates beyond int64).  A point is in the hull iff it
+        lies in the bounding box and strictly inside none of the four
+        shadows; a chain index outside the chain blocks nothing."""
+        ne_x, ne_y, sw_x, sw_y, nw_x, nw_y, se_x, se_y = self._chains2
         i = np.searchsorted(ne_x, qx2, side="left") - 1
-        blocked = pick(self._ne_y, i, inf_hi) < qy2
-        sw_x = np.asarray(self._sw_x, dtype=np.int64)
+        blocked = (i >= 0) & (ne_y[np.maximum(i, 0)] < qy2)
         i = np.searchsorted(sw_x, qx2, side="right")
-        blocked |= qy2 < pick(self._sw_y, i, inf_lo)
-        nw_x = np.asarray(self._nw_x, dtype=np.int64)
+        blocked |= (i < len(sw_x)) & (qy2 < sw_y[np.minimum(i, len(sw_x) - 1)])
         i = np.searchsorted(nw_x, qx2, side="right")
-        blocked |= qy2 > pick(self._nw_y, i, inf_hi)
-        se_x = np.asarray(self._se_x, dtype=np.int64)
+        blocked |= (i < len(nw_x)) & (qy2 > nw_y[np.minimum(i, len(nw_x) - 1)])
         i = np.searchsorted(se_x, qx2, side="left") - 1
-        blocked |= pick(self._se_y, i, inf_lo) > qy2
+        blocked |= (i >= 0) & (se_y[np.maximum(i, 0)] > qy2)
         x1, y1, x2, y2 = self.bbox
         inside_box = ((2 * x1 <= qx2) & (qx2 <= 2 * x2)
                       & (2 * y1 <= qy2) & (qy2 <= 2 * y2))

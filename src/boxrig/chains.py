@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import PointSet
+import numpy as np
+
+from .geom import PointSet, coord_array
 
 MAX_DOM = "max-dominance"   # up-right frontier: x increasing, y decreasing
 MIN_DOM = "min-dominance"   # down-left frontier: x increasing, y decreasing
@@ -23,40 +25,31 @@ class Chain:
     kind: str
 
 
+# kind -> (running extreme, sweep from the right)
+_SWEEPS = {MAX_DOM: (np.maximum, True), MIN_DOM: (np.minimum, False),
+           MAX_ANTI: (np.maximum, False), MIN_ANTI: (np.minimum, True)}
+
+
+def chain_ids(order: np.ndarray, yo: np.ndarray, kind: str) -> tuple:
+    """Ids, in x order, of the chain of this kind: the points whose y is the
+    running extreme of the x-ordered sweep.  ``order`` holds the ids in x
+    order and ``yo`` their y values.  All y are distinct, so a point equals
+    the extreme that includes it exactly when it sets a new one."""
+    extreme, backward = _SWEEPS[kind]
+    ys = yo[::-1] if backward else yo
+    keep = np.flatnonzero(ys == extreme.accumulate(ys))
+    if backward:
+        keep = (len(ys) - 1 - keep)[::-1]
+    return tuple(order[keep].tolist())
+
+
 def maxima(ps: PointSet, kind: str) -> Chain:
     """Extremal staircase of the requested kind, one sweep over the x order."""
     if kind not in KINDS:
         raise ValueError(f"unknown chain kind {kind!r}")
-    ys = ps.ys
-    out: list[int] = []
-    if kind == MAX_DOM:
-        # right-to-left, keep points above everything to their right
-        best = None
-        for i in reversed(ps.by_x):
-            if best is None or ys[i] > best:
-                out.append(i)
-                best = ys[i]
-        out.reverse()
-    elif kind == MIN_DOM:
-        best = None
-        for i in ps.by_x:
-            if best is None or ys[i] < best:
-                out.append(i)
-                best = ys[i]
-    elif kind == MAX_ANTI:
-        best = None
-        for i in ps.by_x:
-            if best is None or ys[i] > best:
-                out.append(i)
-                best = ys[i]
-    else:  # MIN_ANTI
-        best = None
-        for i in reversed(ps.by_x):
-            if best is None or ys[i] < best:
-                out.append(i)
-                best = ys[i]
-        out.reverse()
-    return Chain(tuple(out), kind)
+    order = np.asarray(ps.by_x, dtype=np.intp)
+    yo = coord_array([ps.ys[i] for i in ps.by_x])
+    return Chain(chain_ids(order, yo, kind), kind)
 
 
 def maxima_bruteforce(ps: PointSet, kind: str) -> Chain:

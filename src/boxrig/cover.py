@@ -103,44 +103,48 @@ class BicliqueCover:
 
 
 def _tree_nodes(units: int):
-    """Balanced binary tree over [0, units); parents precede children."""
+    """Balanced binary tree over [0, units), numbered in pre-order (a
+    parent precedes its children, a left subtree precedes the right)."""
     lo: list[int] = []
     hi: list[int] = []
     lc: list[int] = []
     rc: list[int] = []
-
-    def rec(a: int, b: int) -> int:
+    todo = [(0, units, -1, lc)]   # (a, b, parent, parent's child list)
+    while todo:
+        a, b, parent, side = todo.pop()
         idx = len(lo)
+        if parent >= 0:
+            side[parent] = idx
         lo.append(a)
         hi.append(b)
         lc.append(-1)
         rc.append(-1)
         if b - a > 1:
             m = (a + b) // 2
-            lc[idx] = rec(a, m)
-            rc[idx] = rec(m, b)
-        return idx
-
-    rec(0, units)
+            todo.append((m, b, idx, rc))
+            todo.append((a, m, idx, lc))
     return lo, hi, lc, rc
 
 
 def _prefix_nodes_desc(lo, hi, lc, rc, f: int) -> list[int]:
-    """Maximal nodes covering units [0, f), highest units first."""
-    out: list[int] = []
-
-    def rec(idx: int):
+    """Maximal nodes covering units [0, f), highest units first.  Only one
+    node per level is cut by f: descend through those, collecting the left
+    children they cover whole, which come after everything to their right."""
+    nodes: list[int] = []
+    idx = 0
+    while f > 0:
         if hi[idx] <= f:
-            out.append(idx)
-            return
-        if lo[idx] >= f or lc[idx] == -1:
-            return
-        rec(rc[idx])
-        rec(lc[idx])
-
-    if f > 0:
-        rec(0)
-    return out
+            nodes.append(idx)
+            break
+        if lo[idx] >= f:
+            break
+        if hi[lc[idx]] <= f:
+            nodes.append(lc[idx])
+            idx = rc[idx]
+        else:
+            idx = lc[idx]
+    nodes.reverse()
+    return nodes
 
 
 def _distribute(by_x, rank_unit, lo, lc, rc):

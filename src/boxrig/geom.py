@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 Coord = Union[int, Fraction]
 
 
@@ -171,3 +173,12 @@ def dbl(v: Coord) -> int:
             raise GeomError(f"query coordinate {v!r} is not an integer or half-integer")
         return int(w)
     return int(w)
+
+
+def coord_array(vals: Sequence[int]) -> np.ndarray:
+    """int64 array of integer coordinates; object dtype when one exceeds
+    int64, so comparisons stay exact at any size."""
+    try:
+        return np.fromiter(vals, dtype=np.int64, count=len(vals))
+    except OverflowError:
+        return np.array(vals, dtype=object)

@@ -12,15 +12,18 @@ buffer are immutable cons chains, making each snapshot O(1) amortized space.
 The buffered variant keeps up to tau incoming singletons in a FIFO buffer
 and flushes the oldest ceil(log2 n) of them into one canonical block when
 the buffer overflows, so every canonical set has at least logarithmic size;
-reports may then also return explicit buffer elements.
+reports may then also return explicit buffer elements.  The buffer is the
+persistent chain alone: a flush reads its oldest block off the chain and
+rebuilds the rest, O(tau) like the flush itself.
+
+Every arrival (push, replace_top, each entry of run_monotone_script) is one
+private step: pop a count, push one element, record the version.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-NEG_INF = -(1 << 62)
 
 
 class NonMonotoneKey(ValueError):
@@ -108,7 +111,7 @@ class RangeStack:
 
     __slots__ = ("block", "tau", "buffered", "_ekeys", "_epayload",
                  "_t_rank", "_t_start", "_t_lorig", "_t_rorig",
-                 "_fhead", "_bhead", "_buf_list", "_buffer_len", "_size",
+                 "_fhead", "_bhead", "_buffer_len", "_size",
                  "_top", "_v_forest", "_v_buffer", "_v_blen", "_v_size")
 
     def __init__(self, capacity: int, buffered: bool = False):
@@ -128,7 +131,6 @@ class RangeStack:
         # live state (immutable chains; mutation rebinds the heads)
         self._fhead: tuple | None = None          # (tree_id, next), top first
         self._bhead: tuple | None = None          # (key, payload, next), newest first
-        self._buf_list: list = []                 # mirror, oldest -> newest
         self._buffer_len = 0
         self._size = 0
         self._top = None
@@ -268,12 +270,43 @@ class RangeStack:
         """Append an element; its key must strictly exceed every key still
         in the stack (pops lower the bar, so popped keys may be re-entered).
         Returns the step index of this operation."""
+        return self._arrive(0, key, payload)
+
+    def replace_top(self, count: int, key, payload=None) -> int:
+        """Pop `count` elements, then push one, recorded as a single step:
+        the combined arrival event of a point that dominates `count` chain
+        elements.  Equivalent to pop(count) followed by push(key, payload)
+        except that only the final state is snapshotted."""
+        return self._arrive(count, key, payload)
+
+    def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
+        """Bulk arrivals for the buffered variant: for each i, pop
+        popcounts[i] elements then push keys[i] (one recorded step per
+        arrival, as replace_top).  Keys must be strictly increasing.
+        Returns the step index of every arrival."""
+        if not self.buffered:
+            raise ValueError("bulk scripts are a buffered-variant fast path")
+        arrive = self._arrive
+        prev = self._top if self._size else None
+        out: list[int] = []
+        for i in range(len(keys)):
+            k = keys[i]
+            if prev is not None and k <= prev:
+                raise NonMonotoneKey(f"key {k!r} <= previous {prev!r}")
+            prev = k
+            out.append(arrive(popcounts[i], k, payloads[i]))
+        return out
+
+    def _arrive(self, count: int, key, payload) -> int:
+        """The one arrival step: pop `count`, push (key, payload), record
+        the new version.  Returns its step index."""
+        if count:
+            self._pop_body(count)
         if self._size and key <= self._top:
             raise NonMonotoneKey(f"key {key!r} <= current top {self._top!r}")
         self._top = key
         if self.buffered:
             self._bhead = (key, payload, self._bhead)
-            self._buf_list.append((key, payload))
             self._buffer_len += 1
             if self._buffer_len > self.tau:
                 self._flush()
@@ -289,96 +322,23 @@ class RangeStack:
         vs.append(self._size)
         return len(vs) - 1
 
-    def replace_top(self, count: int, key, payload=None) -> int:
-        """Pop `count` elements, then push one, recorded as a single step:
-        the combined arrival event of a point that dominates `count` chain
-        elements.  Equivalent to pop(count) followed by push(key, payload)
-        except that only the final state is snapshotted."""
-        if count:
-            self._pop_body(count)
-        return self.push(key, payload)
-
-    def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
-        """Bulk arrivals for the buffered variant: for each i, pop
-        popcounts[i] elements then push keys[i] (one recorded step per
-        arrival, as replace_top).  Keys must be strictly increasing.
-        Returns the step index of every arrival."""
-        if not self.buffered:
-            raise ValueError("bulk scripts are a buffered-variant fast path")
-        bhead = self._bhead
-        buf = self._buf_list
-        blen = self._buffer_len
-        size = self._size
-        tau = self.tau
-        vf, vb = self._v_forest, self._v_buffer
-        vl, vs = self._v_blen, self._v_size
-        flush = self._flush
-        pop_body = self._pop_body
-        prev = self._top if size else None
-        out: list[int] = []
-        step = len(vs) - 1
-        for i in range(len(keys)):
-            k = keys[i]
-            if prev is not None and k <= prev:
-                raise NonMonotoneKey(f"key {k!r} <= previous {prev!r}")
-            prev = k
-            c = popcounts[i]
-            if c:
-                if c <= blen:
-                    node = bhead
-                    for _ in range(c):
-                        node = node[2]
-                    bhead = node
-                    del buf[blen - c:]
-                    blen -= c
-                    size -= c
-                else:
-                    self._bhead = bhead
-                    self._buffer_len = blen
-                    self._size = size
-                    pop_body(c)
-                    bhead = self._bhead
-                    buf = self._buf_list
-                    blen = self._buffer_len
-                    size = self._size
-            p = payloads[i]
-            bhead = (k, p, bhead)
-            buf.append((k, p))
-            blen += 1
-            size += 1
-            if blen > tau:
-                self._bhead = bhead
-                self._buffer_len = blen
-                flush()
-                bhead = self._bhead
-                buf = self._buf_list
-                blen = self._buffer_len
-            vf.append(self._fhead)
-            vb.append(bhead)
-            vl.append(blen)
-            vs.append(size)
-            step += 1
-            out.append(step)
-        self._bhead = bhead
-        self._buffer_len = blen
-        self._size = size
-        if keys:
-            self._top = keys[-1]
-        return out
-
     def _flush(self):
-        """Move the oldest `block` buffer elements into one canonical block."""
-        buf = self._buf_list
-        b = self.block
-        for k, p in buf[:b]:
+        """Move the oldest `block` buffer elements into one canonical block.
+        The chain is newest first, so the elements that stay are re-linked."""
+        nodes = []
+        node = self._bhead
+        while node is not None:
+            nodes.append(node)
+            node = node[2]
+        keep = len(nodes) - self.block
+        for k, p, _ in reversed(nodes[keep:]):
             self._ekeys.append(k)
             self._epayload.append(p)
-        del buf[:b]
         head = None
-        for kp in buf:
-            head = (kp[0], kp[1], head)
+        for k, p, _ in reversed(nodes[:keep]):
+            head = (k, p, head)
         self._bhead = head
-        self._buffer_len = len(buf)
+        self._buffer_len = keep
         self._insert_tree(self._new_tree(0, -1, -1))
 
     def pop(self, k: int) -> int:
@@ -402,7 +362,6 @@ class RangeStack:
             for _ in range(drop):
                 node = node[2]
             self._bhead = node
-            del self._buf_list[self._buffer_len - drop:]
             self._buffer_len -= drop
             remaining -= drop
         head = self._fhead
@@ -423,12 +382,9 @@ class RangeStack:
                 # re-buffer the partial block; everything above it was popped
                 s = self._t_start[tid] + kb * self.block
                 bh = None
-                buf = []
                 for i in range(s, s + rem):
                     bh = (self._ekeys[i], self._epayload[i], bh)
-                    buf.append((self._ekeys[i], self._epayload[i]))
                 self._bhead = bh
-                self._buf_list = buf
                 self._buffer_len = rem
         self._fhead = head
         self._size -= k
@@ -559,16 +515,16 @@ class RangeStack:
 
     def _aligned_nodes(self, tid: int, blo: int, bhi: int, rep: RangeReport):
         """Canonical cover of full-block range [blo, bhi) inside tid; the
-        emitted handles are the origin trees the copies were made from."""
-
-        def rec(off: int, rank: int, origin: int):
-            if blo <= off and off + (1 << rank) <= bhi:
+        emitted handles are the origin trees the copies were made from,
+        left to right."""
+        lor, ror = self._t_lorig, self._t_rorig
+        todo = [(0, self._t_rank[tid], tid)]   # (block offset, rank, origin)
+        while todo:
+            off, rank, origin = todo.pop()
+            end = off + (1 << rank)
+            if blo <= off and end <= bhi:
                 rep.add_canon(origin)
-                return
-            if off >= bhi or off + (1 << rank) <= blo:
-                return
-            half = 1 << (rank - 1)
-            rec(off, rank - 1, self._t_lorig[origin])
-            rec(off + half, rank - 1, self._t_rorig[origin])
-
-        rec(0, self._t_rank[tid], tid)
+            elif off < bhi and blo < end:
+                half = 1 << (rank - 1)
+                todo.append((off + half, rank - 1, ror[origin]))
+                todo.append((off, rank - 1, lor[origin]))

@@ -47,6 +47,19 @@ def assert_members_match(ps, count=2000, seed=0):
         assert h.contains(q) == brute_hull_members(ps, [q])[0]
 
 
+@pytest.mark.parametrize("shift", [1 << 62, 1 << 70])
+def test_contains_many2_beyond_int64(shift):
+    # doubled coordinates leave int64; the batch answers on object arrays
+    ps = validate([(shift + x, y - shift) for x, y in small_uniform(30, 6).coords()])
+    h = build_hull(ps)
+    qs = grid_queries(ps, 600, 6)
+    qx2 = np.array([int(2 * q[0]) for q in qs], dtype=object)
+    qy2 = np.array([int(2 * q[1]) for q in qs], dtype=object)
+    inside = [h.contains(q) for q in qs]
+    assert h.contains_many2(qx2, qy2).tolist() == inside
+    assert 0 < sum(inside) < len(qs)
+
+
 def test_two_points_hull_is_rect():
     ps = validate([(0, 0), (3, 3)])
     h = build_hull(ps)

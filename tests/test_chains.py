@@ -1,6 +1,8 @@
 from boxrig.chains import (KINDS, MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM,
                            maxima, maxima_bruteforce)
-from conftest import small_uniform
+from boxrig.geom import validate
+from boxrig.lab import gen_lower_bound
+from conftest import small_uniform, two_diagonals
 
 
 def test_maxima_antichain_keeps_all(antichain3):
@@ -15,9 +17,14 @@ def test_maxima_chain_keeps_last(chain3):
 
 
 def test_maxima_matches_definition_filter():
-    ps = small_uniform(50, seed=1)
-    for kind in KINDS:
-        assert maxima(ps, kind).ids == maxima_bruteforce(ps, kind).ids
+    sets = [small_uniform(50, seed=1), two_diagonals(12), gen_lower_bound(10).ps,
+            validate([(-x, y) for x, y in gen_lower_bound(9).ps.coords()]),
+            validate([((1 << 70) + x, -(1 << 66) - y)
+                      for x, y in small_uniform(40, seed=2).coords()]),
+            validate([(7, -3)])]
+    for ps in sets:
+        for kind in KINDS:
+            assert maxima(ps, kind).ids == maxima_bruteforce(ps, kind).ids
 
 
 def test_maxima_monotonicity():

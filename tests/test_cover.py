@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ from boxrig.cover import (ORIENT_DOM, Biclique, build_cover,
                           build_cover_basic, build_k_cover, edge_set,
                           expand_edges, rect_families, verify_cover)
 from boxrig.geom import validate
+from boxrig.lab import gen_lower_bound
 from boxrig.oracle import brute_k_rig, brute_rig
 from conftest import small_uniform, two_diagonals, uniform
 
@@ -60,6 +62,27 @@ def test_covers_exact_beyond_int64(n, dx, dy):
     assert_exact(build_cover(ps), ps)
     assert_exact(build_cover_basic(ps), ps)
     assert_exact(build_k_cover(ps, 2), ps, k=2)
+
+
+def test_builds_leave_no_cyclic_garbage():
+    # the collector is paused during builds, so every cycle a build leaves
+    # behind stays until the next collection
+    sets = [uniform(1024, 2), gen_lower_bound(512).ps]
+    builders = [build_cover, build_cover_basic, lambda ps: build_k_cover(ps, 2)]
+    for build in builders:
+        build(small_uniform(80, 1))    # warm-up
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for ps in sets:
+            for build in builders:
+                cov = build(ps)
+                del cov
+                assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_orientations_partition_edges():

@@ -295,3 +295,54 @@ def test_amortized_bounds_and_replay(n):
         rep = s.report_at_time(t, lo, hi)
         assert rep.part_count <= 4 * logn
         assert [k for k, _ in rep.expand(s)] == oracle(t, lo, hi)
+
+
+def monotone_script(n, seed):
+    """Strictly increasing keys with pop counts that stay within the stack,
+    long enough runs to flush blocks and deep enough pops to re-buffer."""
+    rng = random.Random(seed)
+    keys, payloads, pops = [], [], []
+    key = size = 0
+    for _ in range(n):
+        key += rng.randint(1, 3)
+        c = rng.randint(0, size) if rng.random() < 0.01 else \
+            min(size, rng.choice((0, 0, 0, 1, 2)))
+        size += 1 - c
+        keys.append(key)
+        payloads.append(-key)
+        pops.append(c)
+    return keys, payloads, pops
+
+
+@pytest.mark.parametrize("n,seed", [(64, 0), (300, 1), (2000, 2)])
+def test_monotone_script_matches_replace_top_replay(n, seed):
+    keys, payloads, pops = monotone_script(n, seed)
+    bulk = RangeStack(n, buffered=True)
+    twin = RangeStack(n, buffered=True)
+    bulk.push(0, "base")
+    twin.push(0, "base")
+    steps = bulk.run_monotone_script(keys, payloads, pops)
+    assert steps == [twin.replace_top(c, k, p)
+                     for k, p, c in zip(keys, payloads, pops)]
+    assert steps == list(range(2, n + 2))
+    assert bulk.created_count == twin.created_count > 0
+    rng = random.Random(seed)
+    for t in range(bulk.step + 1):
+        assert bulk.forest_ids(t) == twin.forest_ids(t)
+        assert bulk.buffer_items(t) == twin.buffer_items(t)
+        lo = rng.randint(-1, keys[-1])
+        for q in ((lo, rng.randint(lo, keys[-1] + 1)), (-1, keys[-1])):
+            assert bulk.report_at_time(t, *q).parts == twin.report_at_time(t, *q).parts
+
+
+def test_monotone_script_checks_keys_against_the_script():
+    s = RangeStack(64, buffered=True)
+    s.push(10)
+    with pytest.raises(NonMonotoneKey):
+        s.run_monotone_script([10], [None], [1])   # not above the live top
+    # 5 is popped by the next arrival, which a plain replace_top would accept
+    with pytest.raises(NonMonotoneKey):
+        RangeStack(64, buffered=True).run_monotone_script(
+            [5, 3], [None, None], [0, 1])
+    with pytest.raises(ValueError):
+        RangeStack(64).run_monotone_script([1], [None], [0])
