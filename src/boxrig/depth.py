@@ -14,11 +14,14 @@ rectangles whose value at any point is within [(1-eps) k l, k l].  Small
 bicliques skip the machinery and emit their rectangles verbatim (exact).
 
 One overlay path serves both consumers: the cells of a whole cover become
-one x-sweep of leaf-range updates over compressed y.  DepthIndex replays the
-sweep into a persistent segment tree and answers stabbing sums in O(log)
-time; approx_max_depth replays it into a mutable max tree and keeps the
-deepest leaf seen.  The exact searches (log_approx_max_depth, approx_mis)
-share one pre-order walk over x-median slabs.
+numpy columns, and one rank step turns them into an x-sweep of leaf-range
+updates over compressed y.  DepthIndex folds the sweep into a static
+dominance-sum table (a leaf-prefix snapshot every B events plus, per block
+of B events, a prefix table over the leaves that block touches) and answers
+a stabbing sum with three bisects and two table reads; approx_max_depth
+replays the sweep into a mutable max tree and keeps the deepest leaf seen.
+The exact searches (log_approx_max_depth, approx_mis) share one pre-order
+walk over x-median slabs.
 
 Exact depth at a point (exact_depth_at) needs no overlay: it is the sum of
 k * l over the bicliques.  A rank-space view of the cover's sides (the x
@@ -41,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from .cover import ORIENT_DOM, BicliqueCover, build_cover
-from .geom import Coord, PointSet, Rect, dbl, rect_of, validate
+from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of, validate
 
 
 class EpsOutOfRange(ValueError):
@@ -191,6 +194,13 @@ def _negate_corners(corners: list) -> list:
     return [(-x, -y) for x, y in reversed(corners)]
 
 
+def _emits_verbatim(t: int, s: int, levels_t: int, levels_s: int) -> bool:
+    """Whether a t x s family with that many selected levels per side is
+    emitted as its t*s unit rectangles: no more cells than the level
+    decomposition's estimate."""
+    return t * s <= 2 * levels_t * levels_s + 3 * (t + s) + 4
+
+
 def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
     """Weighted interior-disjoint doubled-closed rectangles approximating
     the depth field of the rectangle family B x A (B fully below-left of A,
@@ -201,8 +211,7 @@ def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
     t, s = len(bx2), len(ax2)
     levels_b = select_levels(t, eps)
     levels_a = select_levels(s, eps)
-    est = 2 * len(levels_b) * len(levels_a) + 3 * (t + s) + 4
-    if t * s <= est:
+    if _emits_verbatim(t, s, len(levels_b), len(levels_a)):
         return [(bx2[i], by2[i], ax2[j], ay2[j], 1)
                 for i in range(t) for j in range(s)]
     xstar = bx2[-1] + 1   # between max B x and min A x
@@ -259,32 +268,67 @@ def _oriented_sides2(b, xs, ys):
     return bx2, by2, ax2, ay2, True
 
 
-def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> list:
-    """Weighted cells of every biclique of the cover, in true doubled x."""
+def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
+    """Weighted cells of every biclique of the cover in true doubled
+    coordinates, as columns (x1, y1, x2 + 1, y2 + 1, w): cell i covers
+    [x1, x2 + 1) x [y1, y2 + 1).  Verbatim bicliques are expanded in numpy,
+    one unit rectangle per (B, A) pair; the others go through
+    biclique_cells.  A coordinate column has object dtype when one of its
+    values exceeds int64."""
     xs, ys = ps.xs, ps.ys
-    cells: list = []
+    sizes = {len(side) for b in cover.bicliques for side in (b.left, b.right)}
+    level_count = {c: len(select_levels(c, eps)) for c in sizes}
+    verbatim, leveled = [], []
     for b in cover.bicliques:
+        t, s = len(b.left), len(b.right)
+        if _emits_verbatim(t, s, level_count[t], level_count[s]):
+            verbatim.append(b)
+            continue
         bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
         for x1, y1, x2, y2, w in biclique_cells(bx2, by2, ax2, ay2, eps):
             if flipped:
                 x1, x2 = -x2, -x1
-            cells.append((x1, y1, x2, y2, w))
-    return cells
+            leveled.append((x1, y1, x2 + 1, y2 + 1, w))
+    # pair p of a verbatim biclique joins its (p // s)-th left point with
+    # its (p % s)-th right point; anti bicliques have the right side on the
+    # left in x
+    m = len(verbatim)
+    t = np.fromiter((len(b.left) for b in verbatim), dtype=np.int64, count=m)
+    s = np.fromiter((len(b.right) for b in verbatim), dtype=np.int64, count=m)
+    left = np.fromiter(chain.from_iterable(b.left for b in verbatim),
+                       dtype=np.int64, count=int(t.sum()))
+    right = np.fromiter(chain.from_iterable(b.right for b in verbatim),
+                        dtype=np.int64, count=int(s.sum()))
+    anti = np.fromiter((b.orientation != ORIENT_DOM for b in verbatim),
+                       dtype=bool, count=m)
+    pairs = t * s
+    pair_start = np.cumsum(pairs) - pairs
+    li = np.repeat(left, np.repeat(s, t))
+    pos = np.arange(int(pairs.sum())) - np.repeat(pair_start, pairs)
+    ri = right[np.repeat(np.cumsum(s) - s, pairs) + pos % np.repeat(s, pairs)]
+    x2s = coord_array([2 * x for x in xs])
+    y2s = coord_array([2 * y for y in ys])
+    flip = np.repeat(anti, pairs)
+    lx, rx = x2s[li], x2s[ri]
+    cols = [np.where(flip, rx, lx), y2s[li], np.where(flip, lx, rx) + 1,
+            y2s[ri] + 1, np.ones(len(li), dtype=np.int64)]
+    if leveled:
+        cols = [np.concatenate((col, coord_array(extra)))
+                for col, extra in zip(cols, zip(*leveled))]
+    return tuple(cols)
 
 
-def _leaf_ranges(cells: list):
-    """The x-sweep over the cells: (ybreaks, xs, ranges), where leaf j is
-    the y-slab [ybreaks[j], ybreaks[j+1]) and ranges[i] lists the (lo, hi, w)
-    leaf-range updates that take effect at x = xs[i] (xs ascending)."""
-    ybreaks = sorted({c[1] for c in cells} | {c[3] + 1 for c in cells})
-    events: dict[int, list] = {}
-    for x1, y1, x2, y2, w in cells:
-        lo = bisect_left(ybreaks, y1)
-        hi = bisect_left(ybreaks, y2 + 1) - 1
-        events.setdefault(x1, []).append((lo, hi, w))
-        events.setdefault(x2 + 1, []).append((lo, hi, -w))
-    xs = sorted(events)
-    return ybreaks, xs, [events[x] for x in xs]
+def _cell_ranks(cells: tuple):
+    """Rank space of cell columns: (xthresholds, ybreaks, x_in, x_out, y_lo,
+    y_hi).  The sorted lists xthresholds and ybreaks hold every x1, x2 + 1
+    and every y1, y2 + 1; leaf j is the y-slab [ybreaks[j], ybreaks[j+1]).
+    Cell i enters the x-sweep at event x_in[i], leaves it at event x_out[i]
+    and spans leaves y_lo[i] .. y_hi[i] - 1."""
+    x1, y1, x2, y2, _ = cells
+    c = len(x1)
+    xthr, ev = np.unique(np.concatenate((x1, x2)), return_inverse=True)
+    ybreaks, lf = np.unique(np.concatenate((y1, y2)), return_inverse=True)
+    return xthr.tolist(), ybreaks.tolist(), ev[:c], ev[c:], lf[:c], lf[c:]
 
 
 class _SideRanks:
@@ -357,62 +401,65 @@ def exact_depth_at(cover: BicliqueCover, ps: PointSet,
 
 
 # ---------------------------------------------------------------------------
-# persistent segment tree over compressed y
+# static dominance-sum table over the x-sweep
 
 
-class _PersistentSums:
-    """Range-add / point-sum segment tree with path copying; node 0 is the
-    shared empty tree."""
+def _dominance_table(ev, lf, dw, events: int, leaves: int):
+    """Static table of the sums of the corner weights dw over the corners
+    with event <= i and leaf <= j, for every event i and leaf j < leaves.
 
-    def __init__(self, leaves: int):
-        self.n = max(leaves, 1)
-        self.lch = [0]
-        self.rch = [0]
-        self.val = [0]
+    The events split into blocks of B.  The table keeps a snapshot every B
+    events, holding the full leaf prefix sums of every corner of the earlier
+    blocks, and per block a prefix table over the B events of the block and
+    only the m distinct leaves its corners touch.  B = sqrt(events * leaves
+    / corners) balances the two parts, so the table holds about
+    2 * sqrt(events * leaves * corners) entries instead of events * leaves.
+    Entries are int32 when the total weight magnitude fits: every entry,
+    and every partial sum on the way to it, is a sum over a subset of the
+    corners or the difference of two such sums over disjoint subsets.
 
-    def add(self, root: int, lo: int, hi: int, w: int) -> int:
-        """New root with w added on leaf range [lo, hi] (non-empty, inside
-        the tree).  Copies every node that meets the range, in pre-order;
-        each copy is linked into the copy of its parent."""
-        lch, rch, val = self.lch, self.rch, self.val
-        new_root = len(val)
-        todo = [(root, 0, self.n - 1, None, 0)]  # node, span, parent link
-        while todo:
-            node, nlo, nhi, links, parent = todo.pop()
-            fresh = len(val)
-            lch.append(lch[node])
-            rch.append(rch[node])
-            if links is not None:
-                links[parent] = fresh
-            if lo <= nlo and nhi <= hi:
-                val.append(val[node] + w)
-                continue
-            val.append(val[node])
-            mid = (nlo + nhi) // 2
-            if mid < hi:
-                todo.append((rch[node], mid + 1, nhi, rch, fresh))
-            if lo <= mid:
-                todo.append((lch[node], nlo, mid, lch, fresh))
-        return new_root
-
-    def point_sum(self, root: int, leaf: int) -> int:
-        acc = 0
-        node = root
-        nlo, nhi = 0, self.n - 1
-        while node:
-            acc += self.val[node]
-            if nlo == nhi:
-                break
-            mid = (nlo + nhi) // 2
-            if leaf <= mid:
-                node, nhi = self.lch[node], mid
-            else:
-                node, nlo = self.rch[node], mid + 1
-        return acc
+    Returns (B, table, col_at, cols).  Snapshot b is table[b * leaves:
+    (b + 1) * leaves].  Block b's leaves are cols[col_at[b]:col_at[b+1]],
+    ascending.  After the snapshots the table holds a B x len(cols) array:
+    entry (r, k) sums the corners of k's block up to its r-th event and up
+    to leaf cols[k]."""
+    block = max(1, round(math.sqrt(events * leaves / max(len(dw), 1))))
+    blocks = -(-events // block)
+    big = int(np.abs(dw).sum()) > np.iinfo(np.int32).max
+    dw = dw.astype(np.int64 if big else np.int32)
+    blk = ev // block
+    snap_size = blocks * leaves
+    # the distinct (block, leaf) pairs, in block-then-leaf order
+    pair, col = np.unique(blk * leaves + lf, return_inverse=True)
+    width = np.bincount(pair // leaves, minlength=blocks)
+    col_at = np.concatenate(([0], np.cumsum(width)))
+    table = np.zeros(snap_size + block * len(pair), dtype=dw.dtype)
+    later = blk + 1 < blocks
+    np.add.at(table, (blk[later] + 1) * leaves + lf[later], dw[later])
+    np.add.at(table, snap_size + (ev - blk * block) * len(pair) + col, dw)
+    snaps = table[:snap_size].reshape(blocks, leaves)
+    np.cumsum(snaps, axis=0, out=snaps)
+    np.cumsum(snaps, axis=1, out=snaps)
+    rows = table[snap_size:].reshape(block, len(pair))
+    np.cumsum(rows, axis=0, out=rows)
+    # prefix over each block's leaves: one running sum along the rows, with
+    # each block's first leaf offset by the total of the block before it
+    starts = col_at[:-1][width > 0]
+    totals = np.add.reduceat(rows, starts, axis=1)
+    rows[:, starts[1:]] -= totals[:, :-1]
+    np.cumsum(rows, axis=1, out=rows)
+    return block, table, col_at.tolist(), pair % leaves
 
 
 class DepthIndex:
-    """Weighted-cell overlay answering (1-eps)-approximate depth queries."""
+    """Weighted-cell overlay answering (1-eps)-approximate depth queries.
+
+    The depth at a point is the sum of the weights of the cells containing
+    it.  In the rank space of the cells' x-sweep every cell becomes four
+    weighted corners (enter/leave event by low/high leaf), and the depth at
+    event i, leaf j is the sum over the corners dominated by (i, j), read
+    from a static table (_dominance_table): a query is three bisects and two
+    table reads."""
 
     def __init__(self, ps: PointSet, eps: float, cover: BicliqueCover | None = None):
         _check_eps(eps)
@@ -424,25 +471,33 @@ class DepthIndex:
             cover = build_cover(ps)
         self.cover = cover
         cells = _cover_cells(cover, ps, eps)
-        self.cell_count = len(cells)
-        self._ybreaks, self._xthresholds, ranges = _leaf_ranges(cells)
-        self._tree = tree = _PersistentSums(max(len(self._ybreaks) - 1, 1))
-        self._roots = []
-        root = 0
-        for updates in ranges:
-            for lo, hi, w in updates:
-                root = tree.add(root, lo, hi, w)
-            self._roots.append(root)
+        w = cells[4]
+        self.cell_count = len(w)
+        xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
+        self._xthresholds, self._ybreaks = xthr, ybreaks
+        self._leaves = leaves = len(ybreaks) - 1
+        ev = np.concatenate((x_in, x_in, x_out, x_out))
+        lf = np.concatenate((y_lo, y_hi, y_lo, y_hi))
+        dw = np.concatenate((w, -w, -w, w))
+        keep = lf < leaves    # corners on the last break reach no query
+        self._block, table, self._col_at, cols = _dominance_table(
+            ev[keep], lf[keep], dw[keep], len(xthr), leaves)
+        self._snap_size = (len(self._col_at) - 1) * leaves
+        # memoryviews over the numpy arrays: an item read is a Python int
+        self._table, self._cols = memoryview(table), memoryview(cols)
 
     def query2(self, qx2: int, qy2: int) -> int:
         i = bisect_right(self._xthresholds, qx2) - 1
-        if i < 0:
+        j = bisect_right(self._ybreaks, qy2) - 1
+        if i < 0 or j < 0 or j >= self._leaves:
             return 0
-        yb = self._ybreaks
-        j = bisect_right(yb, qy2) - 1
-        if j < 0 or j >= len(yb) - 1:
-            return 0
-        return self._tree.point_sum(self._roots[i], j)
+        b, r = divmod(i, self._block)
+        lo = self._col_at[b]
+        c = bisect_right(self._cols, j, lo, self._col_at[b + 1])
+        value = self._table[b * self._leaves + j]
+        if c > lo:
+            value += self._table[self._snap_size + r * len(self._cols) + c - 1]
+        return value
 
     def query(self, q: tuple[Coord, Coord]) -> int:
         return self.query2(dbl(q[0]), dbl(q[1]))
@@ -514,16 +569,27 @@ class _MaxCoverTree:
 
 def approx_max_depth(ps: PointSet, eps: float):
     """Deepest cell of the overlay: ((x, y), value) with value within
-    (1-eps) of the true maximum and never above it."""
+    (1-eps) of the true maximum and never above it.  Replays the cells'
+    x-sweep into a max tree, one batch of leaf-range updates per event."""
     _check_eps(eps)
     cells = _cover_cells(build_cover(ps), ps, eps)
-    ybreaks, xs, ranges = _leaf_ranges(cells)
+    xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
+    w = cells[4]
+    ev = np.concatenate((x_in, x_out))
+    order = np.argsort(ev, kind="stable")
+    lo = np.concatenate((y_lo, y_lo))[order].tolist()
+    hi = (np.concatenate((y_hi, y_hi))[order] - 1).tolist()
+    dw = np.concatenate((w, -w))[order].tolist()
+    # event e's updates sit at [stops[e-1], stops[e]) of lo, hi and dw
+    stops = np.cumsum(np.bincount(ev, minlength=len(xthr))).tolist()
     tree = _MaxCoverTree(max(len(ybreaks) - 1, 1))
     best_val = 0
     best_xy = (2 * ps.xs[0], 2 * ps.ys[0])
-    for x, updates in zip(xs, ranges):
-        for lo, hi, w in updates:
-            tree.update(lo, hi, w)
+    start = 0
+    for x, stop in zip(xthr, stops):
+        for k in range(start, stop):
+            tree.update(lo[k], hi[k], dw[k])
+        start = stop
         v = tree.max_value()
         if v > best_val:
             best_val = v

@@ -165,14 +165,17 @@ def dbl(v: Coord) -> int:
     """Map an int or half-integer Fraction to the doubled-integer lattice.
 
     All oracle and query arithmetic runs on doubled coordinates so that cell
-    midpoints stay exact without floating point.
+    midpoints stay exact without floating point.  Anything else (floats,
+    bools, other fractions) is rejected rather than rounded.
     """
-    w = 2 * v
-    if isinstance(w, Fraction):
-        if w.denominator != 1:
-            raise GeomError(f"query coordinate {v!r} is not an integer or half-integer")
-        return int(w)
-    return int(w)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return 2 * v
+    if isinstance(v, Fraction):
+        if v.denominator == 2:
+            return v.numerator
+        if v.denominator == 1:
+            return 2 * v.numerator
+    raise GeomError(f"query coordinate {v!r} is not an integer or half-integer")
 
 
 def coord_array(vals: Sequence[int]) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from boxrig.cover import (ORIENT_DOM, Biclique, build_cover,
                           build_cover_basic, build_k_cover, edge_set,
                           expand_edges, rect_families, verify_cover)
+from boxrig.depth import DepthIndex, approx_max_depth
 from boxrig.geom import validate
 from boxrig.lab import gen_lower_bound
 from boxrig.oracle import brute_k_rig, brute_rig
@@ -65,10 +66,12 @@ def test_covers_exact_beyond_int64(n, dx, dy):
 
 
 def test_builds_leave_no_cyclic_garbage():
-    # the collector is paused during builds, so every cycle a build leaves
-    # behind stays until the next collection
+    # the collector is off here, so every cycle a build leaves behind
+    # stays until the explicit collection
     sets = [uniform(1024, 2), gen_lower_bound(512).ps]
-    builders = [build_cover, build_cover_basic, lambda ps: build_k_cover(ps, 2)]
+    builders = [build_cover, build_cover_basic, lambda ps: build_k_cover(ps, 2),
+                lambda ps: DepthIndex(ps, 0.5),
+                lambda ps: approx_max_depth(ps, 0.5)]
     for build in builders:
         build(small_uniform(80, 1))    # warm-up
     was_enabled = gc.isenabled()

@@ -5,22 +5,22 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import boxrig.depth
 from boxrig.boxhull import build_hull
 from boxrig.cover import build_cover
 from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
-                          _MaxCoverTree, _PersistentSums,
-                          approx_max_depth, approx_mis, biclique_cells,
-                          build_depth_index, exact_depth_at, in_lower_region,
+                          _cover_cells, _MaxCoverTree, approx_max_depth,
+                          approx_mis, biclique_cells, build_depth_index, exact_depth_at, in_lower_region,
                           in_upper_region, log_approx_max_depth, lower_corners,
                           query_depth, select_levels, upper_corners)
 from boxrig.geom import validate
 from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
                            brute_mis, brute_rig)
-from conftest import small_uniform, two_diagonals
+from conftest import small_uniform, two_diagonals, uniform
 
 
 def make_chains(rng, t, s, spread=60):
@@ -238,23 +238,55 @@ def test_query_determinism():
 @pytest.mark.parametrize("leaves,seed", [(1, 0), (7, 1), (16, 2), (45, 3)])
 def test_overlay_trees_match_plain_arrays(leaves, seed):
     rng = random.Random(seed)
-    sums = _PersistentSums(leaves)
     best = _MaxCoverTree(leaves)
     plain = [0] * best.size   # leaves past `leaves` pad the max tree
-    versions = [(0, list(plain))]
     for _ in range(60):
         lo = rng.randrange(leaves)
         hi = rng.randrange(lo, leaves)
         w = rng.randint(-5, 9)
         for j in range(lo, hi + 1):
             plain[j] += w
-        versions.append((sums.add(versions[-1][0], lo, hi, w), list(plain)))
         best.update(lo, hi, w)
         assert best.max_value() == max(plain)
         assert best.argmax_leaf() == plain.index(max(plain))
-    for root, values in versions:   # every past version stays queryable
-        assert [sums.point_sum(root, j) for j in range(leaves)] == \
-            values[:leaves]
+
+
+def cell_sum_sets():
+    """Uniform, extremal and x-mirrored sets small enough to scan every
+    lattice point.  Only two-diagonals m = 64 has a biclique past the
+    verbatim size (at eps 0.5), in either orientation once mirrored."""
+    yield from (small_uniform(n, n) for n in (2, 3, 40))
+    yield two_diagonals(8)
+    yield gen_lower_bound(6).ps
+    yield validate([(-x, y) for x, y in gen_lower_bound(6).ps.coords()])
+    yield two_diagonals(64)
+    yield validate([(-x, y) for x, y in two_diagonals(64).coords()])
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
+def test_depth_index_matches_its_cell_sums(eps):
+    """query2 at every doubled lattice point of the bounding box, padded
+    by 2, is the total weight of the cover's cells containing it."""
+    for ps in cell_sum_sets():
+        ix = build_depth_index(ps, eps)
+        x1, y1, x2, y2, w = _cover_cells(ix.cover, ps, eps)
+        assert ix.cell_count == len(w)
+        qys = np.arange(2 * min(ps.ys) - 4, 2 * max(ps.ys) + 5)
+        inside_y = (y1[:, None] <= qys) & (qys < y2[:, None])
+        for qx2 in range(2 * min(ps.xs) - 4, 2 * max(ps.xs) + 5):
+            active = (x1 <= qx2) & (qx2 < x2)
+            want = w[active] @ inside_y[active]
+            got = [ix.query2(qx2, qy2) for qy2 in qys.tolist()]
+            assert got == want.tolist(), f"column x2={qx2}"
+
+
+def test_depth_index_tables_stay_small():
+    # a full events x leaves table would take 67 MB in int32 here
+    ps = uniform(2048, 5)
+    ix = build_depth_index(ps, 0.5)
+    arrays = [a for a in vars(ix).values() if isinstance(a, memoryview)]
+    assert any(a is ix._table for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 32 * 2 ** 20
 
 
 def test_dropped_index_frees_its_tree_without_collection():
@@ -263,12 +295,37 @@ def test_dropped_index_frees_its_tree_without_collection():
     gc.disable()
     try:
         ix = build_depth_index(ps, 0.5)
-        tree = weakref.ref(ix._tree)
+        table = weakref.ref(ix._table.obj)
         del ix
-        assert tree() is None, "reference cycle keeps the persistent tree"
+        assert table() is None, "reference cycle keeps the depth table"
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("dx,dy", [(1 << 70, -(1 << 66)), (1 << 62, 0)],
+                         ids=["2^70,-2^66", "2^62,0"])
+@pytest.mark.parametrize("base,eps", [(small_uniform(50, 3), 0.5),
+                                      (small_uniform(50, 3), 0.25),
+                                      (two_diagonals(64), 0.5)],
+                         ids=["uniform50-0.5", "uniform50-0.25",
+                              "two-diagonals64-0.5"])
+def test_depth_index_and_max_at_huge_coordinates(dx, dy, base, eps):
+    # the cells only shift with the points, so the shifted structures must
+    # answer exactly as the unshifted ones; doubled coordinates leave int64
+    # (two-diagonals m = 64 takes the level cells at eps 0.5)
+    ps = validate([(x + dx, y + dy) for x, y in base.coords()])
+    rng = random.Random(6)
+    qs = [(2 * qx, 2 * qy) for qx, qy in query_grid(base, rng, 400)]
+    qs += [(2 * x + rng.choice((-1, 0, 1)), 2 * y + rng.choice((-1, 0, 1)))
+           for x, y in base.coords()]
+    ix, shifted = build_depth_index(base, eps), build_depth_index(ps, eps)
+    assert shifted.cell_count == ix.cell_count
+    assert [shifted.query2(qx2 + 2 * dx, qy2 + 2 * dy) for qx2, qy2 in qs] \
+        == [ix.query2(qx2, qy2) for qx2, qy2 in qs]
+    assert shifted.query((dx + Fraction(1, 2), dy)) == ix.query((Fraction(1, 2), 0))
+    (px, py), v = approx_max_depth(base, eps)
+    assert approx_max_depth(ps, eps) == ((px + dx, py + dy), v)
 
 
 def exact_depth_sets():

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxrig.boxhull import build_hull, witness_rect
+from boxrig.cover import build_cover
+from boxrig.depth import build_depth_index, exact_depth_at, query_depth
 from boxrig.geom import (DuplicateX, DuplicateY, GeomError, Point,
                          anti_dominates, dbl, dominates, rect_of, validate)
+from boxrig.oracle import brute_depth, brute_hull_member
 
 
 def P(x, y, pid=0):
@@ -99,7 +103,31 @@ def test_relation_trichotomy(coords):
 
 
 def test_dbl():
-    assert dbl(3) == 6
-    assert dbl(Fraction(5, 2)) == 5
-    with pytest.raises(GeomError):
-        dbl(Fraction(1, 3))
+    assert dbl(3) == 6 and dbl(-7) == -14
+    assert dbl(Fraction(5, 2)) == 5 and dbl(Fraction(-5, 2)) == -5
+    assert dbl(Fraction(6, 2)) == 6
+    assert dbl(1 << 80) == 1 << 81
+    # a float or a bool must not be doubled and truncated to another point
+    for bad in (Fraction(1, 3), 0.3, 1.5, 0.75, True, False, "3", None):
+        with pytest.raises(GeomError):
+            dbl(bad)
+
+
+def test_query_entry_points_take_only_lattice_coordinates():
+    ps = validate([(0, 1), (1, 12), (11, 0), (12, 11), (5, 6), (3, 8), (8, 3)])
+    cov, hull = build_cover(ps), build_hull(ps)
+    ix = build_depth_index(ps, 0.5)
+    entry_points = [lambda q: query_depth(ix, q), hull.contains,
+                    lambda q: witness_rect(ps, hull, q),
+                    lambda q: exact_depth_at(cov, ps, q)]
+    for call in entry_points:
+        for bad in (0.3, 1.5, True):
+            for q in ((bad, 7), (7, bad)):
+                with pytest.raises(GeomError):
+                    call(q)
+    for q in ((Fraction(5, 2), 7), (7, Fraction(5, 2))):
+        assert brute_hull_member(ps, q) and hull.contains(q)
+        assert witness_rect(ps, hull, q).contains(*q)
+        true = brute_depth(ps, q)
+        assert exact_depth_at(cov, ps, q) == true
+        assert 0.5 * true <= query_depth(ix, q) <= true
