@@ -16,8 +16,7 @@ from .lab import (center_point, edge_count_experiment, gen_lower_bound,
 from .oracle import (EdgeSet, InstanceTooLarge, brute_depth, brute_hull_member,
                      brute_k_rig, brute_max_depth, brute_mis, brute_rig,
                      hull_union_area, union_area)
-from .rangestack import (CanonicalSet, NonMonotoneKey, RangeStack, Snapshot,
-                         StackUnderflow)
+from .rangestack import NonMonotoneKey, RangeStack, StackUnderflow
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

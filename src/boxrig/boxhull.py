@@ -77,8 +77,6 @@ class BoxHull:
         self._nw_y = [2 * y for _, y in self.nw]
         self._se_x = [2 * x for x, _ in self.se]
         self._se_y = [2 * y for _, y in self.se]
-        self._sw_y_asc = self._sw_y[::-1]
-        self._ne_y_asc = self._ne_y[::-1]
         self._chains2 = tuple(coord_array(v) for v in (
             self._ne_x, self._ne_y, self._sw_x, self._sw_y,
             self._nw_x, self._nw_y, self._se_x, self._se_y))
@@ -177,58 +175,6 @@ class BoxHull:
         inside_box = ((2 * x1 <= qx2) & (qx2 <= 2 * x2)
                       & (2 * y1 <= qy2) & (qy2 <= 2 * y2))
         return inside_box & ~blocked
-
-    def vertical_extent2(self, qx2: int):
-        """Hull slice on the vertical line x = qx2/2 as a doubled-y interval
-        [lo2, hi2], or None.  Axis convexity makes every slice one interval."""
-        x1, y1, x2, y2 = self.bbox
-        if not 2 * x1 <= qx2 <= 2 * x2:
-            return None
-        lo = 2 * y1
-        i = bisect_right(self._sw_x, qx2)
-        if i < len(self._sw_x):
-            lo = max(lo, self._sw_y[i])
-        i = bisect_left(self._se_x, qx2)
-        if i:
-            lo = max(lo, self._se_y[i - 1])
-        hi = 2 * y2
-        i = bisect_left(self._ne_x, qx2)
-        if i:
-            hi = min(hi, self._ne_y[i - 1])
-        i = bisect_right(self._nw_x, qx2)
-        if i < len(self._nw_x):
-            hi = min(hi, self._nw_y[i])
-        if lo > hi:
-            return None
-        return lo, hi
-
-    def horizontal_extent2(self, qy2: int):
-        """Hull slice on a horizontal line as a doubled-x interval, or None."""
-        x1, y1, x2, y2 = self.bbox
-        if not 2 * y1 <= qy2 <= 2 * y2:
-            return None
-        lo = 2 * x1
-        # up-left chain: a point with cy < qy and cx > qx blocks; so x must
-        # reach at least the largest such cx
-        i = bisect_left(self._nw_y, qy2)
-        if i:
-            lo = max(lo, self._nw_x[i - 1])
-        # down-left staircase: w with wy > qy and wx > qx blocks (y desc)
-        cnt = len(self._sw_y) - bisect_right(self._sw_y_asc, qy2)
-        if cnt:
-            lo = max(lo, self._sw_x[cnt - 1])
-        hi = 2 * x2
-        # down-right chain: s with sy > qy and sx < qx blocks (y asc)
-        i = bisect_right(self._se_y, qy2)
-        if i < len(self._se_y):
-            hi = min(hi, self._se_x[i])
-        # up-right staircase: m with my < qy and mx < qx blocks (y desc)
-        cnt = bisect_left(self._ne_y_asc, qy2)
-        if cnt:
-            hi = min(hi, self._ne_x[len(self._ne_y) - cnt])
-        if lo > hi:
-            return None
-        return lo, hi
 
 
 def build_hull(ps: PointSet) -> BoxHull:

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
 from .cover import ORIENT_DOM, BicliqueCover, build_cover
-from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of, validate
+from .geom import Coord, Point, PointSet, Rect, coord_array, dbl, rect_of
 
 
 class EpsOutOfRange(ValueError):
@@ -97,54 +96,20 @@ def subsample_corners(corners: list, gap: int) -> list:
     return out
 
 
-@dataclass
-class StaircaseLevels:
-    """Per-side level machinery of one biclique: selected level values and
-    one corner chain per selected level (exact up to mu, simplified past
-    it)."""
-
-    levels: list
-    curves: list  # corner list per selected level, same indexing
-
-    @staticmethod
-    def for_lower(bx2, by2, eps: float) -> "StaircaseLevels":
-        levels = select_levels(len(bx2), eps)
-        mu = math.ceil(6 / eps)
-        curves = []
-        for i, a in enumerate(levels):
-            exact = lower_corners(bx2, by2, a)
-            if a <= mu or i + 1 >= len(levels):
-                curves.append(exact)
-            else:
-                curves.append(subsample_corners(exact, levels[i + 1] - a))
-        return StaircaseLevels(levels, curves)
-
-    @staticmethod
-    def for_upper(ax2, ay2, eps: float) -> "StaircaseLevels":
-        levels = select_levels(len(ax2), eps)
-        mu = math.ceil(6 / eps)
-        curves = []
-        for i, a in enumerate(levels):
-            exact = upper_corners(ax2, ay2, a)
-            if a <= mu or i + 1 >= len(levels):
-                curves.append(exact)
-            else:
-                curves.append(subsample_corners(exact, levels[i + 1] - a))
-        return StaircaseLevels(levels, curves)
-
-
-def in_upper_region(corners: list, zx2: int, zy2: int) -> bool:
-    """Membership in a down-left quadrant union (corners x-asc, y-desc)."""
-    xs = [c[0] for c in corners]
-    j = bisect_left(xs, zx2)
-    return j < len(corners) and zy2 <= corners[j][1]
-
-
-def in_lower_region(corners: list, zx2: int, zy2: int) -> bool:
-    """Membership in an up-right quadrant union (corners x-asc, y-desc)."""
-    xs = [c[0] for c in corners]
-    j = bisect_right(xs, zx2)
-    return j > 0 and zy2 >= corners[j - 1][1]
+def staircase_curves(corners, xs2: list[int], ys2: list[int], levels: list,
+                     eps: float) -> list:
+    """One corner chain per selected level of one side of a biclique, exact
+    up to mu and simplified past it.  ``corners`` is lower_corners for the B
+    side and upper_corners for the A side."""
+    mu = math.ceil(6 / eps)
+    curves = []
+    for i, a in enumerate(levels):
+        exact = corners(xs2, ys2, a)
+        if a <= mu or i + 1 >= len(levels):
+            curves.append(exact)
+        else:
+            curves.append(subsample_corners(exact, levels[i + 1] - a))
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +199,14 @@ def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
     xedges2.append((xstar, xthr_a[-1]))
     _grid_cells(cells, xedges2, yedges2, levels_a, levels_b)
     # upper-right: k saturated at t, bands of the A staircase levels
-    sl_a = StaircaseLevels.for_upper(ax2, ay2, eps)
-    _upper_bands(cells, sl_a.curves, sl_a.levels, xstar, ystar, t)
+    curves_a = staircase_curves(upper_corners, ax2, ay2, levels_a, eps)
+    _upper_bands(cells, curves_a, levels_a, xstar, ystar, t)
     # lower-left: l saturated at s, bands of the B staircase levels
     # (mirrored through the origin into the upper-right formulation)
-    sl_b = StaircaseLevels.for_lower(bx2, by2, eps)
-    neg_curves = [_negate_corners(c) for c in sl_b.curves]
+    curves_b = staircase_curves(lower_corners, bx2, by2, levels_b, eps)
+    neg_curves = [_negate_corners(c) for c in curves_b]
     mirrored: list = []
-    _upper_bands(mirrored, neg_curves, sl_b.levels,
+    _upper_bands(mirrored, neg_curves, levels_b,
                  -(xstar - 1), -(ystar - 1), s)
     for x1, y1, x2, y2, w in mirrored:
         cells.append((-x2, -y2, -x1, -y1, w))
@@ -418,7 +383,7 @@ def _dominance_table(ev, lf, dw, events: int, leaves: int):
     and every partial sum on the way to it, is a sum over a subset of the
     corners or the difference of two such sums over disjoint subsets.
 
-    Returns (B, table, col_at, cols).  Snapshot b is table[b * leaves:
+    Returns (B, table, col_at, cols).  The b-th snapshot is table[b * leaves:
     (b + 1) * leaves].  Block b's leaves are cols[col_at[b]:col_at[b+1]],
     ascending.  After the snapshots the table holds a B x len(cols) array:
     entry (r, k) sums the corners of k's block up to its r-th event and up
@@ -601,18 +566,23 @@ def _slabs(ps: PointSet):
     """Pre-order walk of the x-median recursion: (level, ids, sub, c2,
     cover) for every slab of at least two points, where ids are the slab's
     points in x order, sub is them as a point set (local ids), c2 the
-    doubled x of the splitting line and cover the compact cover of sub."""
-    todo = [(0, list(ps.by_x))]
+    doubled x of the splitting line and cover the compact cover of sub.
+    A slab is a run [lo, hi) of x ranks; its point set is built from the
+    parent's orders (the slab's x ranks in y order ride along the walk), so
+    nothing is sorted or checked again."""
+    xs, ys, by_x, rank_x = ps.xs, ps.ys, ps.by_x, ps.rank_x
+    todo = [(0, 0, ps.n, [rank_x[i] for i in ps.by_y])]
     while todo:
-        level, ids = todo.pop()
-        if len(ids) < 2:
+        level, lo, hi, ranks_by_y = todo.pop()
+        if hi - lo < 2:
             continue
-        sub = validate([(ps.xs[i], ps.ys[i]) for i in ids])
-        mid = len(ids) // 2
-        c2 = 2 * ps.xs[ids[mid]]
-        yield level, ids, sub, c2, build_cover(sub)
-        todo.append((level + 1, ids[mid:]))
-        todo.append((level + 1, ids[:mid]))
+        ids = by_x[lo:hi]
+        sub = PointSet([Point(xs[i], ys[i], j) for j, i in enumerate(ids)],
+                       range(hi - lo), [r - lo for r in ranks_by_y])
+        cut = lo + (hi - lo) // 2
+        yield level, ids, sub, 2 * xs[by_x[cut]], build_cover(sub)
+        todo.append((level + 1, cut, hi, [r for r in ranks_by_y if r >= cut]))
+        todo.append((level + 1, lo, cut, [r for r in ranks_by_y if r < cut]))
 
 
 def _line_max(cover: BicliqueCover, sub: PointSet, c2: int):

@@ -6,8 +6,9 @@ points with pairwise-distinct coordinates:
 * ``q`` is *dominated* by ``p`` when ``p`` is strictly up-right of ``q``;
 * ``p`` *anti-dominates* ``q`` when ``p`` is strictly up-left of ``q``.
 
-Inputs are validated to be in general position (all x distinct, all y
-distinct), which makes every predicate an exact integer comparison.
+Inputs are validated to be integer points in general position (all x
+distinct, all y distinct), which makes every predicate an exact integer
+comparison.
 Rectangles are closed sets throughout.
 """
 
@@ -74,13 +75,6 @@ class Rect:
         return (self.lo[0] <= other.hi[0] and other.lo[0] <= self.hi[0]
                 and self.lo[1] <= other.hi[1] and other.lo[1] <= self.hi[1])
 
-    def interior_intersects(self, other: "Rect") -> bool:
-        return (self.lo[0] < other.hi[0] and other.lo[0] < self.hi[0]
-                and self.lo[1] < other.hi[1] and other.lo[1] < self.hi[1])
-
-    def area(self) -> int:
-        return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
-
 
 def dominates(p: Point, q: Point) -> bool:
     """True iff q is strictly below-left of p (q ≺ p)."""
@@ -143,13 +137,26 @@ class PointSet:
         return [(p.x, p.y) for p in self.points]
 
 
-def validate(coords: Iterable[tuple[int, int]]) -> PointSet:
-    """Build a PointSet, rejecting coordinate ties.
+def _int_coord(v, i: int) -> int:
+    """An int (not bool) or numpy integer coordinate of point i as an int."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise GeomError(f"point {i}: coordinate {v!r} is not an integer")
 
-    Raises DuplicateX/DuplicateY naming the first offending index pair in
-    sorted order.
+
+def validate(coords: Iterable[tuple[int, int]]) -> PointSet:
+    """Build a PointSet, rejecting non-integer coordinates and ties.
+
+    A coordinate must be an int (not bool) or a numpy integer; anything
+    else (floats, even 3.0, Fractions, bools, strings, None) raises
+    GeomError naming the point, never truncated.  Raises DuplicateX /
+    DuplicateY naming the first offending index pair in sorted order.
     """
-    pts = [Point(int(x), int(y), i) for i, (x, y) in enumerate(coords)]
+    pts = []
+    for i, (x, y) in enumerate(coords):
+        if type(x) is not int or type(y) is not int:
+            x, y = _int_coord(x, i), _int_coord(y, i)
+        pts.append(Point(x, y, i))
     by_x = sorted(range(len(pts)), key=lambda i: pts[i].x)
     for a, b in zip(by_x, by_x[1:]):
         if pts[a].x == pts[b].x:

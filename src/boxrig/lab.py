@@ -81,13 +81,6 @@ def gen_uniform(n: int, seed: int) -> Instance:
                     f"gen_uniform(n={n}, seed={seed})")
 
 
-GENERATORS = {
-    "two-diagonals": gen_two_diagonals,
-    "lower-bound": gen_lower_bound,
-    "uniform": gen_uniform,
-}
-
-
 # ---------------------------------------------------------------------------
 # centre point with a support matching
 

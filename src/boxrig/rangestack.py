@@ -5,9 +5,9 @@ rank-0 trees and cascade-merge whenever three trees share a rank (two per
 rank are allowed; the laziness is what keeps pops cheap), pops reuse
 previously built subtrees by handle, and every created tree is registered as
 an immutable canonical set.  Range reports decompose into O(log n) canonical
-ids plus at most two partial runs.  A snapshot is recorded after every
+ids plus at most two partial runs.  A version is recorded after every
 operation, so reports can be answered against any past step; forest and
-buffer are immutable cons chains, making each snapshot O(1) amortized space.
+buffer are immutable cons chains, making each version O(1) amortized space.
 
 The buffered variant keeps up to tau incoming singletons in a FIFO buffer
 and flushes the oldest ceil(log2 n) of them into one canonical block when
@@ -23,7 +23,6 @@ private step: pop a count, push one element, record the version.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 
 class NonMonotoneKey(ValueError):
@@ -32,32 +31,6 @@ class NonMonotoneKey(ValueError):
 
 class StackUnderflow(ValueError):
     """pop(k) asked for more elements than the stack holds."""
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Frozen state after one operation: the forest tree-handle chain plus
-    the buffer contents (both immutable, shared across versions)."""
-
-    version: int
-    forest_head: tuple | None   # cons cell (tree_id, next), top of stack first
-    buffer_head: tuple | None   # cons cell (key, payload, next), newest first
-    buffer_len: int
-    size: int
-
-
-@dataclass(frozen=True)
-class CanonicalSet:
-    """Registry view of one created tree: a contiguous sorted element run,
-    materialised once at creation and never mutated."""
-
-    id: int
-    start: int
-    end: int
-    rank: int
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 class RangeReport:
@@ -187,11 +160,6 @@ class RangeStack:
         out.reverse()
         return out
 
-    def canonical_set(self, cid: int) -> CanonicalSet:
-        return CanonicalSet(cid, self._t_start[cid],
-                            self._t_start[cid] + self._tree_size(cid),
-                            self._t_rank[cid])
-
     def canonical_elements(self, cid: int) -> list:
         s = self._t_start[cid]
         e = s + self._tree_size(cid)
@@ -210,15 +178,6 @@ class RangeStack:
             return self._bhead[0]
         tid = self._fhead[0]
         return self._ekeys[self._t_start[tid] + self._tree_size(tid) - 1]
-
-    def snapshot(self) -> Snapshot:
-        return self.snapshot_at(self.step)
-
-    def snapshot_at(self, t: int) -> Snapshot:
-        if not 0 <= t <= self.step:
-            raise IndexError(f"step {t} outside recorded history 0..{self.step}")
-        return Snapshot(t, self._v_forest[t], self._v_buffer[t],
-                        self._v_blen[t], self._v_size[t])
 
     # -- tree creation ------------------------------------------------------
 
@@ -276,7 +235,7 @@ class RangeStack:
         """Pop `count` elements, then push one, recorded as a single step:
         the combined arrival event of a point that dominates `count` chain
         elements.  Equivalent to pop(count) followed by push(key, payload)
-        except that only the final state is snapshotted."""
+        except that only the final state is recorded."""
         return self._arrive(count, key, payload)
 
     def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
@@ -420,7 +379,7 @@ class RangeStack:
         return self.report_at_time(self.step, lo, hi)
 
     def report_at_time(self, t: int, lo, hi) -> RangeReport:
-        """Same as report, answered against the snapshot after step t."""
+        """Same as report, answered against the version after step t."""
         rep = RangeReport()
         if lo > hi:
             return rep

@@ -113,27 +113,6 @@ def test_area_matches_oracle_union():
         assert build_hull(ps).area() == hull_union_area(ps)
 
 
-def test_axis_convexity_extents():
-    ps = small_uniform(80, 11)
-    h = build_hull(ps)
-    rng = random.Random(3)
-    xs = sorted(ps.xs)
-    ys = sorted(ps.ys)
-    for _ in range(300):
-        qx2 = rng.randint(2 * xs[0] - 4, 2 * xs[-1] + 4)
-        ext = h.vertical_extent2(qx2)
-        samples = [rng.randint(2 * ys[0] - 4, 2 * ys[-1] + 4) for _ in range(30)]
-        for qy2 in samples:
-            member = bool(h.contains_many2(np.array([qx2]), np.array([qy2]))[0])
-            assert member == (ext is not None and ext[0] <= qy2 <= ext[1])
-    for _ in range(300):
-        qy2 = rng.randint(2 * ys[0] - 4, 2 * ys[-1] + 4)
-        ext = h.horizontal_extent2(qy2)
-        for qx2 in [rng.randint(2 * xs[0] - 4, 2 * xs[-1] + 4) for _ in range(30)]:
-            member = bool(h.contains_many2(np.array([qx2]), np.array([qy2]))[0])
-            assert member == (ext is not None and ext[0] <= qx2 <= ext[1])
-
-
 def test_hull_shrinks_after_insertion():
     # adding a point can strictly shrink the hull
     before = validate([(0, 0), (10, 1), (1, 10)])

@@ -2,7 +2,9 @@ import gc
 import itertools
 import math
 import random
+import sys
 import weakref
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,11 @@ import pytest
 import boxrig.depth
 from boxrig.boxhull import build_hull
 from boxrig.cover import build_cover
-from boxrig.depth import (DepthIndex, EpsOutOfRange, StaircaseLevels,
-                          _cover_cells, _MaxCoverTree, approx_max_depth,
-                          approx_mis, biclique_cells, build_depth_index, exact_depth_at, in_lower_region,
-                          in_upper_region, log_approx_max_depth, lower_corners,
-                          query_depth, select_levels, upper_corners)
+from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells,
+                          _MaxCoverTree, approx_max_depth, approx_mis,
+                          biclique_cells, build_depth_index, exact_depth_at,
+                          log_approx_max_depth, lower_corners, query_depth,
+                          select_levels, staircase_curves, upper_corners)
 from boxrig.geom import validate
 from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
@@ -39,6 +41,20 @@ def true_pair_depth(bx2, by2, ax2, ay2, zx2, zy2):
     return k * l
 
 
+def in_upper_region(corners: list, zx2: int, zy2: int) -> bool:
+    """Membership in a down-left quadrant union (corners x-asc, y-desc)."""
+    xs = [c[0] for c in corners]
+    j = bisect_left(xs, zx2)
+    return j < len(corners) and zy2 <= corners[j][1]
+
+
+def in_lower_region(corners: list, zx2: int, zy2: int) -> bool:
+    """Membership in an up-right quadrant union (corners x-asc, y-desc)."""
+    xs = [c[0] for c in corners]
+    j = bisect_right(xs, zx2)
+    return j > 0 and zy2 >= corners[j - 1][1]
+
+
 def stabbed_value(cells, zx2, zy2):
     hits = [w for x1, y1, x2, y2, w in cells
             if x1 <= zx2 <= x2 and y1 <= zy2 <= y2]
@@ -60,11 +76,12 @@ def test_curve_sandwich_and_complexity():
     bx2, by2, ax2, ay2 = make_chains(rng, 40, 35)
     eps = 0.5
     mu = math.ceil(6 / eps)
-    sl = StaircaseLevels.for_lower(bx2, by2, eps)
-    for i, alpha in enumerate(sl.levels):
-        curve = sl.curves[i]
-        gap = sl.levels[i + 1] - alpha if i + 1 < len(sl.levels) else 1
-        if alpha <= mu or i + 1 == len(sl.levels):
+    levels = select_levels(len(bx2), eps)
+    curves = staircase_curves(lower_corners, bx2, by2, levels, eps)
+    for i, alpha in enumerate(levels):
+        curve = curves[i]
+        gap = levels[i + 1] - alpha if i + 1 < len(levels) else 1
+        if alpha <= mu or i + 1 == len(levels):
             assert len(curve) == len(bx2) - alpha + 1  # exact staircase
         else:
             assert len(curve) <= len(bx2) / max(gap, 1) + 2
@@ -80,13 +97,21 @@ def test_curve_sandwich_and_complexity():
                 if k >= alpha + gap:
                     assert inside
                 assert in_lower_region(exact_lo, zx2, zy2) == (k >= alpha)
-    su = StaircaseLevels.for_upper(ax2, ay2, eps)
-    for i, beta in enumerate(su.levels):
+    levels = select_levels(len(ax2), eps)
+    curves = staircase_curves(upper_corners, ax2, ay2, levels, eps)
+    for i, beta in enumerate(levels):
+        curve = curves[i]
+        gap = levels[i + 1] - beta if i + 1 < len(levels) else 1
         exact_up = upper_corners(ax2, ay2, beta)
         for zx2 in range(120, 260, 11):
             for zy2 in range(120, 260, 13):
                 l = sum(1 for j in range(len(ax2))
                         if ax2[j] >= zx2 and ay2[j] >= zy2)
+                inside = in_upper_region(curve, zx2, zy2)
+                if inside:
+                    assert l >= beta
+                if l >= beta + gap:
+                    assert inside
                 assert in_upper_region(exact_up, zx2, zy2) == (l >= beta)
 
 
@@ -497,6 +522,29 @@ def test_log_approx_builds_the_full_cover_once(monkeypatch):
     pt, v = log_approx_max_depth(ps)
     assert sizes.count(256) == 1
     assert v == exact_depth_at(build_cover(ps), ps, pt)
+
+
+def test_slab_point_sets_match_validated_ones(monkeypatch):
+    # slabs are built from the parent's orders; they must be the point sets
+    # validate would build from the same coordinates, and validate itself
+    # runs only at the boundary
+    sets = [small_uniform(60, 8), gen_lower_bound(12).ps, two_diagonals(13)]
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("boxrig") and getattr(mod, "validate", None) is validate:
+            monkeypatch.setattr(mod, "validate",
+                                lambda *a: calls.append(a) or validate(*a))
+    for ps in sets:
+        slabs = 0
+        for _, ids, sub, c2, _ in boxrig.depth._slabs(ps):
+            twin = validate([(ps.xs[i], ps.ys[i]) for i in ids])
+            assert sub.points == twin.points
+            assert (sub.by_x, sub.by_y) == (twin.by_x, twin.by_y)
+            assert (sub.rank_x, sub.rank_y) == (twin.rank_x, twin.rank_y)
+            assert c2 == 2 * ps.xs[ids[len(ids) // 2]]
+            slabs += 1
+        assert slabs == ps.n - 1   # every internal node of the median split
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,seed", [(60, 2), (150, 5), (300, 2)])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +82,25 @@ def test_validate_permutations_inverse():
         assert ps.rank_y[i] == r
     assert [ps.xs[i] for i in ps.by_x] == sorted(ps.xs)
     assert [ps.ys[i] for i in ps.by_y] == sorted(ps.ys)
+
+
+def test_validate_takes_only_integer_points():
+    # each of these used to be truncated or parsed into another point set:
+    # (0.9, 5) became (0, 5), True 1, Fraction(7, 2) 3 and '12' 12
+    for coords, bad in (([(0.9, 5), (3, 1.2), (2.5, 7)], 0),
+                        ([(1, 2), (3.0, 4)], 1),
+                        ([(1, 2), (5, np.float64(4))], 1),
+                        ([(1, 2), (Fraction(7, 2), 4)], 1),
+                        ([(1, 2), (Fraction(6, 2), 4)], 1),
+                        ([(1, 2), (3, True)], 1),
+                        ([(1, 2), (3, np.bool_(True))], 1),
+                        ([(1, 2), ("12", 4)], 1),
+                        ([(None, 2), (3, 4)], 0)):
+        with pytest.raises(GeomError, match=f"point {bad}:"):
+            validate(coords)
+    ps = validate([(np.int64(3), np.int32(-4)), (1 << 70, 5)])
+    assert ps.coords() == [(3, -4), (1 << 70, 5)]
+    assert all(type(v) is int for xy in ps.coords() for v in xy)
 
 
 coords_st = st.lists(

@@ -105,7 +105,7 @@ def test_pop_examples():
     assert forest_sizes(s) == []
     before = s.step
     s.pop(0)
-    assert s.step == before + 1  # no-op still records a snapshot
+    assert s.step == before + 1  # no-op still records a version
 
 
 def test_pop_underflow():
@@ -257,7 +257,7 @@ def test_buffered_small_scripts_make_no_canonicals():
 def test_buffered_canonical_sizes_at_least_block():
     s, _, _ = run_script(2000, seed=3, buffered=True)
     for cid in range(s.created_count):
-        assert len(s.canonical_set(cid)) >= s.block
+        assert len(s.canonical_payloads(cid)) >= s.block
 
 
 def test_buffered_noncanonical_count_bound():
