@@ -1,8 +1,8 @@
 """Empty-rectangle influence graphs: near-linear biclique covers, box
 hulls, and approximate rectangle depth, with exact brute-force oracles."""
 
-from .boxhull import BoxHull, DisjointCover, NotInHull, build_hull, contains, \
-    disjoint_cover, witness_rect
+from .boxhull import (BoxHull, DisjointCover, NotInHull, build_hull,
+                      disjoint_cover, witness_rect)
 from .chains import MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM, Chain, maxima
 from .cover import (Biclique, BicliqueCover, build_cover, build_cover_basic,
                     build_k_cover, expand_edges, rect_families, verify_cover)

@@ -181,10 +181,6 @@ def build_hull(ps: PointSet) -> BoxHull:
     return BoxHull(ps)
 
 
-def contains(h: BoxHull, q: tuple[Coord, Coord]) -> bool:
-    return h.contains(q)
-
-
 # ---------------------------------------------------------------------------
 # witness rectangle
 

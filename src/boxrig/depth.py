@@ -14,12 +14,12 @@ rectangles whose value at any point is within [(1-eps) k l, k l].  Small
 bicliques skip the machinery and emit their rectangles verbatim (exact).
 
 One overlay path serves both consumers: the cells of a whole cover become
-numpy columns, and one rank step turns them into an x-sweep of leaf-range
-updates over compressed y.  DepthIndex folds the sweep into a static
-dominance-sum table (a leaf-prefix snapshot every B events plus, per block
-of B events, a prefix table over the leaves that block touches) and answers
-a stabbing sum with three bisects and two table reads; approx_max_depth
-replays the sweep into a mutable max tree and keeps the deepest leaf seen.
+numpy columns, one rank step turns them into an x-sweep over compressed y,
+and the sweep's corners fold into a static dominance-sum table (a
+leaf-prefix snapshot every B events plus, per block of B events, a prefix
+table over the leaves that block touches).  DepthIndex answers a stabbing
+sum with three bisects and two table reads; approx_max_depth reads the
+deepest point off the same table with two numpy max reductions.
 The exact searches (log_approx_max_depth, approx_mis) share one pre-order
 walk over x-median slabs.
 
@@ -376,28 +376,31 @@ def _dominance_table(ev, lf, dw, events: int, leaves: int):
     The events split into blocks of B.  The table keeps a snapshot every B
     events, holding the full leaf prefix sums of every corner of the earlier
     blocks, and per block a prefix table over the B events of the block and
-    only the m distinct leaves its corners touch.  B = sqrt(events * leaves
-    / corners) balances the two parts, so the table holds about
+    leaf 0 plus the distinct leaves its corners touch.  B = sqrt(events *
+    leaves / corners) balances the two parts, so the table holds about
     2 * sqrt(events * leaves * corners) entries instead of events * leaves.
     Entries are int32 when the total weight magnitude fits: every entry,
     and every partial sum on the way to it, is a sum over a subset of the
     corners or the difference of two such sums over disjoint subsets.
 
-    Returns (B, table, col_at, cols).  The b-th snapshot is table[b * leaves:
-    (b + 1) * leaves].  Block b's leaves are cols[col_at[b]:col_at[b+1]],
-    ascending.  After the snapshots the table holds a B x len(cols) array:
-    entry (r, k) sums the corners of k's block up to its r-th event and up
-    to leaf cols[k]."""
+    Returns (B, table, col_at, pair).  The b-th snapshot is table[b * leaves:
+    (b + 1) * leaves].  Block b's columns are pair[col_at[b]:col_at[b+1]],
+    flat snapshot indices b * leaves + leaf, ascending, the first at leaf 0.
+    After the snapshots the table holds a B x len(pair) array: entry (r, k)
+    sums the corners of k's block up to its r-th event and up to k's leaf."""
     block = max(1, round(math.sqrt(events * leaves / max(len(dw), 1))))
     blocks = -(-events // block)
     big = int(np.abs(dw).sum()) > np.iinfo(np.int32).max
     dw = dw.astype(np.int64 if big else np.int32)
     blk = ev // block
     snap_size = blocks * leaves
-    # the distinct (block, leaf) pairs, in block-then-leaf order
-    pair, col = np.unique(blk * leaves + lf, return_inverse=True)
-    width = np.bincount(pair // leaves, minlength=blocks)
-    col_at = np.concatenate(([0], np.cumsum(width)))
+    # the distinct (block, leaf) pairs, in block-then-leaf order, with leaf 0
+    # in every block so that every leaf has a column at or below it
+    pair, col = np.unique(np.concatenate((blk * leaves + lf,
+                                          np.arange(blocks) * leaves)),
+                          return_inverse=True)
+    col = col[:len(ev)]
+    col_at = np.searchsorted(pair, np.arange(blocks + 1) * leaves)
     table = np.zeros(snap_size + block * len(pair), dtype=dw.dtype)
     later = blk + 1 < blocks
     np.add.at(table, (blk[later] + 1) * leaves + lf[later], dw[later])
@@ -409,22 +412,34 @@ def _dominance_table(ev, lf, dw, events: int, leaves: int):
     np.cumsum(rows, axis=0, out=rows)
     # prefix over each block's leaves: one running sum along the rows, with
     # each block's first leaf offset by the total of the block before it
-    starts = col_at[:-1][width > 0]
-    totals = np.add.reduceat(rows, starts, axis=1)
-    rows[:, starts[1:]] -= totals[:, :-1]
+    totals = np.add.reduceat(rows, col_at[:-1], axis=1)
+    rows[:, col_at[1:-1]] -= totals[:, :-1]
     np.cumsum(rows, axis=1, out=rows)
-    return block, table, col_at.tolist(), pair % leaves
+    return block, table, col_at, pair
+
+
+def _sweep_table(cells: tuple):
+    """The cells' x-sweep as four weighted corners per cell (enter/leave
+    event by low/high leaf), folded into a _dominance_table: (xthresholds,
+    ybreaks, B, table, col_at, pair).  The depth at event i, leaf j is the
+    sum over the corners dominated by (i, j)."""
+    xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
+    w = cells[4]
+    leaves = len(ybreaks) - 1
+    ev = np.concatenate((x_in, x_in, x_out, x_out))
+    lf = np.concatenate((y_lo, y_hi, y_lo, y_hi))
+    dw = np.concatenate((w, -w, -w, w))
+    keep = lf < leaves    # corners on the last break reach no query
+    return (xthr, ybreaks,
+            *_dominance_table(ev[keep], lf[keep], dw[keep], len(xthr), leaves))
 
 
 class DepthIndex:
     """Weighted-cell overlay answering (1-eps)-approximate depth queries.
 
     The depth at a point is the sum of the weights of the cells containing
-    it.  In the rank space of the cells' x-sweep every cell becomes four
-    weighted corners (enter/leave event by low/high leaf), and the depth at
-    event i, leaf j is the sum over the corners dominated by (i, j), read
-    from a static table (_dominance_table): a query is three bisects and two
-    table reads."""
+    it, read from the static corner table of the cells' x-sweep
+    (_sweep_table): a query is three bisects and two table reads."""
 
     def __init__(self, ps: PointSet, eps: float, cover: BicliqueCover | None = None):
         _check_eps(eps)
@@ -436,20 +451,14 @@ class DepthIndex:
             cover = build_cover(ps)
         self.cover = cover
         cells = _cover_cells(cover, ps, eps)
-        w = cells[4]
-        self.cell_count = len(w)
-        xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
-        self._xthresholds, self._ybreaks = xthr, ybreaks
-        self._leaves = leaves = len(ybreaks) - 1
-        ev = np.concatenate((x_in, x_in, x_out, x_out))
-        lf = np.concatenate((y_lo, y_hi, y_lo, y_hi))
-        dw = np.concatenate((w, -w, -w, w))
-        keep = lf < leaves    # corners on the last break reach no query
-        self._block, table, self._col_at, cols = _dominance_table(
-            ev[keep], lf[keep], dw[keep], len(xthr), leaves)
-        self._snap_size = (len(self._col_at) - 1) * leaves
+        self.cell_count = len(cells[4])
+        self._xthresholds, self._ybreaks, self._block, table, col_at, pair = \
+            _sweep_table(cells)
+        self._leaves = leaves = len(self._ybreaks) - 1
+        self._col_at = col_at.tolist()
+        self._snap_size = (len(col_at) - 1) * leaves
         # memoryviews over the numpy arrays: an item read is a Python int
-        self._table, self._cols = memoryview(table), memoryview(cols)
+        self._table, self._pair = memoryview(table), memoryview(pair)
 
     def query2(self, qx2: int, qy2: int) -> int:
         i = bisect_right(self._xthresholds, qx2) - 1
@@ -457,12 +466,10 @@ class DepthIndex:
         if i < 0 or j < 0 or j >= self._leaves:
             return 0
         b, r = divmod(i, self._block)
-        lo = self._col_at[b]
-        c = bisect_right(self._cols, j, lo, self._col_at[b + 1])
-        value = self._table[b * self._leaves + j]
-        if c > lo:
-            value += self._table[self._snap_size + r * len(self._cols) + c - 1]
-        return value
+        flat = b * self._leaves + j
+        c = bisect_right(self._pair, flat, self._col_at[b], self._col_at[b + 1])
+        return (self._table[flat]
+                + self._table[self._snap_size + r * len(self._pair) + c - 1])
 
     def query(self, q: tuple[Coord, Coord]) -> int:
         return self.query2(dbl(q[0]), dbl(q[1]))
@@ -480,86 +487,30 @@ def query_depth(ix: DepthIndex, q: tuple[Coord, Coord]) -> int:
 # maximum-depth approximations
 
 
-class _MaxCoverTree:
-    """Mutable segment tree: range add, global max of path sums, argmax.
-    Node v keeps add[v], the weight added on its whole span, and best[v],
-    add[v] plus the larger best of its children."""
-
-    def __init__(self, leaves: int):
-        self.n = max(leaves, 1)
-        size = 1
-        while size < self.n:
-            size *= 2
-        self.size = size
-        self.add = [0] * (2 * size)
-        self.best = [0] * (2 * size)
-
-    def update(self, lo: int, hi: int, w: int):
-        """Add w on leaves [lo, hi]: bottom-up over the canonical nodes of
-        the range, then refresh best on the two boundary leaf paths, which
-        hold every ancestor of a canonical node."""
-        add, best = self.add, self.best
-        left, right = lo + self.size, hi + self.size + 1
-        edges = (left >> 1, (right - 1) >> 1)
-        while left < right:
-            if left & 1:
-                add[left] += w
-                best[left] += w
-                left += 1
-            if right & 1:
-                right -= 1
-                add[right] += w
-                best[right] += w
-            left >>= 1
-            right >>= 1
-        for node in edges:
-            while node:
-                a, b = best[2 * node], best[2 * node + 1]
-                best[node] = add[node] + (a if a >= b else b)
-                node >>= 1
-
-    def max_value(self) -> int:
-        return self.best[1]
-
-    def argmax_leaf(self) -> int:
-        node, nlo, nhi = 1, 0, self.size - 1
-        while nlo != nhi:
-            mid = (nlo + nhi) // 2
-            if self.best[2 * node] >= self.best[2 * node + 1]:
-                node, nhi = 2 * node, mid
-            else:
-                node, nlo = 2 * node + 1, mid + 1
-        return nlo
-
-
 def approx_max_depth(ps: PointSet, eps: float):
     """Deepest cell of the overlay: ((x, y), value) with value within
-    (1-eps) of the true maximum and never above it.  Replays the cells'
-    x-sweep into a max tree, one batch of leaf-range updates per event."""
+    (1-eps) of the true maximum and never above it.  Reads the maximum off
+    the same static table as DepthIndex.  At an event of block b, the depth
+    at a leaf is snapshot b there plus the event's row entry of the block
+    column at or below the leaf, so the event's maximum is the best, over
+    the block's columns, of the row entry plus the snapshot's maximum over
+    the column's run of leaves.  Ties go to the first event, then the lowest
+    leaf."""
     _check_eps(eps)
-    cells = _cover_cells(build_cover(ps), ps, eps)
-    xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
-    w = cells[4]
-    ev = np.concatenate((x_in, x_out))
-    order = np.argsort(ev, kind="stable")
-    lo = np.concatenate((y_lo, y_lo))[order].tolist()
-    hi = (np.concatenate((y_hi, y_hi))[order] - 1).tolist()
-    dw = np.concatenate((w, -w))[order].tolist()
-    # event e's updates sit at [stops[e-1], stops[e]) of lo, hi and dw
-    stops = np.cumsum(np.bincount(ev, minlength=len(xthr))).tolist()
-    tree = _MaxCoverTree(max(len(ybreaks) - 1, 1))
-    best_val = 0
-    best_xy = (2 * ps.xs[0], 2 * ps.ys[0])
-    start = 0
-    for x, stop in zip(xthr, stops):
-        for k in range(start, stop):
-            tree.update(lo[k], hi[k], dw[k])
-        start = stop
-        v = tree.max_value()
-        if v > best_val:
-            best_val = v
-            best_xy = (x, ybreaks[tree.argmax_leaf()])
-    return (Fraction(best_xy[0], 2), Fraction(best_xy[1], 2)), best_val
+    xthr, ybreaks, block, table, col_at, pair = _sweep_table(
+        _cover_cells(build_cover(ps), ps, eps))
+    leaves = len(ybreaks) - 1
+    snap_size = (len(col_at) - 1) * leaves
+    rows = table[snap_size:].reshape(block, len(pair))
+    peaks = rows + np.maximum.reduceat(table[:snap_size], pair)
+    at_event = np.maximum.reduceat(peaks, col_at[:-1], axis=1).T.ravel()
+    e = int(np.argmax(at_event[:len(xthr)]))
+    b, r = divmod(e, block)
+    lo, hi = col_at[b], col_at[b + 1]
+    runs = np.diff(pair[lo:hi], append=(b + 1) * leaves)
+    row = table[b * leaves:(b + 1) * leaves] + np.repeat(rows[r, lo:hi], runs)
+    j = int(np.argmax(row))
+    return (Fraction(xthr[e], 2), Fraction(ybreaks[j], 2)), int(row[j])
 
 
 def _slabs(ps: PointSet):

@@ -41,7 +41,7 @@ def gen_two_diagonals(m: int) -> Instance:
                     f"gen_two_diagonals(m={m})")
 
 
-def gen_lower_bound(n: int, spread: int = 2) -> Instance:
+def gen_lower_bound(n: int) -> Instance:
     """Two facing chains forcing any biclique cover to carry near-linear-log
     weight.  2n points total.
 
@@ -53,8 +53,8 @@ def gen_lower_bound(n: int, spread: int = 2) -> Instance:
     if n < 2:
         raise ValueError("n must be >= 2")
     coords = [(-i, 2 * i) for i in range(1, n + 1)]
-    coords += [(2 * n * spread - i, 2 * i + 1) for i in range(1, n + 1)]
-    return Instance("lower-bound", {"n": n, "spread": spread}, validate(coords),
+    coords += [(4 * n - i, 2 * i + 1) for i in range(1, n + 1)]
+    return Instance("lower-bound", {"n": n}, validate(coords),
                     f"gen_lower_bound(n={n})")
 
 
@@ -259,7 +259,7 @@ def _find_triclique(n: int, edges):
     return None
 
 
-def structural_fuzz(ns, seeds, clique_bound: int = 4) -> ExperimentReport:
+def structural_fuzz(ns, seeds) -> ExperimentReport:
     """Assert no 5-clique exists in any sampled graph; record (not assert)
     whether any all-sides>=2 triclique shows up."""
     ns = list(ns)
@@ -275,8 +275,8 @@ def structural_fuzz(ns, seeds, clique_bound: int = 4) -> ExperimentReport:
         for seed in seeds:
             inst = gen_uniform(n, seed)
             edges = brute_rig(inst.ps).edges
-            clique = _max_clique_size(n, edges, cap=clique_bound + 1)
-            if clique > clique_bound:
+            clique = _max_clique_size(n, edges)
+            if clique >= 5:
                 k5 += 1
             tri = _find_triclique(n, edges)
             if tri is not None:

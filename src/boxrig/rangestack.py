@@ -85,7 +85,7 @@ class RangeStack:
     __slots__ = ("block", "tau", "buffered", "_ekeys", "_epayload",
                  "_t_rank", "_t_start", "_t_lorig", "_t_rorig",
                  "_fhead", "_bhead", "_buffer_len", "_size",
-                 "_top", "_v_forest", "_v_buffer", "_v_blen", "_v_size")
+                 "_top", "_v_forest", "_v_buffer", "_v_size")
 
     def __init__(self, capacity: int, buffered: bool = False):
         if capacity < 1:
@@ -107,10 +107,9 @@ class RangeStack:
         self._buffer_len = 0
         self._size = 0
         self._top = None
-        # history, four parallel arrays; index 0 is the empty initial state
+        # history, three parallel arrays; index 0 is the empty initial state
         self._v_forest: list = [None]
         self._v_buffer: list = [None]
-        self._v_blen: list[int] = [0]
         self._v_size: list[int] = [0]
 
     @staticmethod
@@ -276,7 +275,6 @@ class RangeStack:
         self._size += 1
         self._v_forest.append(self._fhead)
         self._v_buffer.append(self._bhead)
-        self._v_blen.append(self._buffer_len)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
@@ -306,7 +304,6 @@ class RangeStack:
             self._pop_body(k)
         self._v_forest.append(self._fhead)
         self._v_buffer.append(self._bhead)
-        self._v_blen.append(self._buffer_len)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
@@ -397,7 +394,7 @@ class RangeStack:
                 rep.add_canon(tid)
             else:
                 self._decompose(tid, lo, hi, rep)
-        if self._v_blen[t]:
+        if self._v_buffer[t] is not None:
             items = [kp for kp in self.buffer_items(t) if lo <= kp[0] <= hi]
             rep.add_elems(items)
         return rep

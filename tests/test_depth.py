@@ -14,8 +14,8 @@ import boxrig.depth
 from boxrig.boxhull import build_hull
 from boxrig.cover import build_cover
 from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells,
-                          _MaxCoverTree, approx_max_depth, approx_mis,
-                          biclique_cells, build_depth_index, exact_depth_at,
+                          approx_max_depth, approx_mis, biclique_cells,
+                          build_depth_index, exact_depth_at,
                           log_approx_max_depth, lower_corners, query_depth,
                           select_levels, staircase_curves, upper_corners)
 from boxrig.geom import validate
@@ -25,12 +25,12 @@ from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
 from conftest import small_uniform, two_diagonals, uniform
 
 
-def make_chains(rng, t, s, spread=60):
+def make_chains(rng, t, s, span=60):
     """Quadrant-separated staircases (doubled coords): B below-left of A."""
-    bx = sorted(rng.sample(range(0, spread), t))
-    by = sorted(rng.sample(range(0, spread), t), reverse=True)
-    ax = sorted(rng.sample(range(spread + 2, 2 * spread + 2), s))
-    ay = sorted(rng.sample(range(spread + 2, 2 * spread + 2), s), reverse=True)
+    bx = sorted(rng.sample(range(0, span), t))
+    by = sorted(rng.sample(range(0, span), t), reverse=True)
+    ax = sorted(rng.sample(range(span + 2, 2 * span + 2), s))
+    ay = sorted(rng.sample(range(span + 2, 2 * span + 2), s), reverse=True)
     return ([2 * v for v in bx], [2 * v for v in by],
             [2 * v for v in ax], [2 * v for v in ay])
 
@@ -148,7 +148,7 @@ def test_biclique_cells_big_chain_decomposition(eps):
     import numpy as np
     rng = random.Random(11)
     t, s = 300, 280
-    bx2, by2, ax2, ay2 = make_chains(rng, t, s, spread=2000)
+    bx2, by2, ax2, ay2 = make_chains(rng, t, s, span=2000)
     cells = biclique_cells(bx2, by2, ax2, ay2, eps)
     assert len(cells) < t * s, "decomposition path not taken"
     cx1 = np.array([c[0] for c in cells])
@@ -184,7 +184,7 @@ def test_biclique_cells_big_chain_decomposition(eps):
 
 def test_biclique_cells_size_scales():
     rng = random.Random(9)
-    bx2, by2, ax2, ay2 = make_chains(rng, 200, 180, spread=600)
+    bx2, by2, ax2, ay2 = make_chains(rng, 200, 180, span=600)
     for eps in (0.5, 0.25):
         cells = biclique_cells(bx2, by2, ax2, ay2, eps)
         n = 380
@@ -260,22 +260,6 @@ def test_query_determinism():
     assert ix.query(q) == ix.query(q) == query_depth(ix, q)
 
 
-@pytest.mark.parametrize("leaves,seed", [(1, 0), (7, 1), (16, 2), (45, 3)])
-def test_overlay_trees_match_plain_arrays(leaves, seed):
-    rng = random.Random(seed)
-    best = _MaxCoverTree(leaves)
-    plain = [0] * best.size   # leaves past `leaves` pad the max tree
-    for _ in range(60):
-        lo = rng.randrange(leaves)
-        hi = rng.randrange(lo, leaves)
-        w = rng.randint(-5, 9)
-        for j in range(lo, hi + 1):
-            plain[j] += w
-        best.update(lo, hi, w)
-        assert best.max_value() == max(plain)
-        assert best.argmax_leaf() == plain.index(max(plain))
-
-
 def cell_sum_sets():
     """Uniform, extremal and x-mirrored sets small enough to scan every
     lattice point.  Only two-diagonals m = 64 has a biclique past the
@@ -303,6 +287,22 @@ def test_depth_index_matches_its_cell_sums(eps):
             want = w[active] @ inside_y[active]
             got = [ix.query2(qx2, qy2) for qy2 in qys.tolist()]
             assert got == want.tolist(), f"column x2={qx2}"
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.1])
+def test_approx_max_is_first_lattice_maximum(eps):
+    """approx_max_depth is the first maximum of query2 over every doubled
+    lattice point of the bounding box, padded by 2, scanned x-major and
+    then y ascending: the exact value and the tie-break."""
+    for ps in cell_sum_sets():
+        ix = build_depth_index(ps, eps)
+        best = None
+        for qx2 in range(2 * min(ps.xs) - 4, 2 * max(ps.xs) + 5):
+            for qy2 in range(2 * min(ps.ys) - 4, 2 * max(ps.ys) + 5):
+                v = ix.query2(qx2, qy2)
+                if best is None or v > best[1]:
+                    best = ((Fraction(qx2, 2), Fraction(qy2, 2)), v)
+        assert approx_max_depth(ps, eps) == best
 
 
 def test_depth_index_tables_stay_small():
