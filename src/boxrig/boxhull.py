@@ -52,9 +52,8 @@ class BoxHull:
             raise ValueError("need at least two points")
         self.ps = ps
         xs, ys = ps.xs, ps.ys
-        x_of = coord_array(xs)
-        order = np.argsort(x_of)     # all x distinct: this is ps.by_x
-        self._xo = x_of[order]
+        order = np.asarray(ps.by_x, dtype=np.intp)
+        self._xo = coord_array(xs)[order]
         self._yo = yo = coord_array(ys)[order]
         self._ne_ids = chain_ids(order, yo, MAX_DOM)
         self._sw_ids = chain_ids(order, yo, MIN_DOM)
@@ -77,9 +76,6 @@ class BoxHull:
         self._nw_y = [2 * y for _, y in self.nw]
         self._se_x = [2 * x for x, _ in self.se]
         self._se_y = [2 * y for _, y in self.se]
-        self._chains2 = tuple(coord_array(v) for v in (
-            self._ne_x, self._ne_y, self._sw_x, self._sw_y,
-            self._nw_x, self._nw_y, self._se_x, self._se_y))
         self.bbox = (min(xs), min(ys), max(xs), max(ys))
         self.boundary = self._boundary_polygon()
 
@@ -156,25 +152,6 @@ class BoxHull:
         if not (2 * x1 <= qx2 <= 2 * x2 and 2 * y1 <= qy2 <= 2 * y2):
             return False
         return not self._blocked2(qx2, qy2)
-
-    def contains_many2(self, qx2: np.ndarray, qy2: np.ndarray) -> np.ndarray:
-        """Vectorised membership on doubled integer coordinates (object
-        arrays for coordinates beyond int64).  A point is in the hull iff it
-        lies in the bounding box and strictly inside none of the four
-        shadows; a chain index outside the chain blocks nothing."""
-        ne_x, ne_y, sw_x, sw_y, nw_x, nw_y, se_x, se_y = self._chains2
-        i = np.searchsorted(ne_x, qx2, side="left") - 1
-        blocked = (i >= 0) & (ne_y[np.maximum(i, 0)] < qy2)
-        i = np.searchsorted(sw_x, qx2, side="right")
-        blocked |= (i < len(sw_x)) & (qy2 < sw_y[np.minimum(i, len(sw_x) - 1)])
-        i = np.searchsorted(nw_x, qx2, side="right")
-        blocked |= (i < len(nw_x)) & (qy2 > nw_y[np.minimum(i, len(nw_x) - 1)])
-        i = np.searchsorted(se_x, qx2, side="left") - 1
-        blocked |= (i >= 0) & (se_y[np.maximum(i, 0)] > qy2)
-        x1, y1, x2, y2 = self.bbox
-        inside_box = ((2 * x1 <= qx2) & (qx2 <= 2 * x2)
-                      & (2 * y1 <= qy2) & (qy2 <= 2 * y2))
-        return inside_box & ~blocked
 
 
 def build_hull(ps: PointSet) -> BoxHull:

@@ -157,15 +157,23 @@ def validate(coords: Iterable[tuple[int, int]]) -> PointSet:
         if type(x) is not int or type(y) is not int:
             x, y = _int_coord(x, i), _int_coord(y, i)
         pts.append(Point(x, y, i))
-    by_x = sorted(range(len(pts)), key=lambda i: pts[i].x)
-    for a, b in zip(by_x, by_x[1:]):
-        if pts[a].x == pts[b].x:
-            raise DuplicateX(min(a, b), max(a, b))
-    by_y = sorted(range(len(pts)), key=lambda i: pts[i].y)
-    for a, b in zip(by_y, by_y[1:]):
-        if pts[a].y == pts[b].y:
-            raise DuplicateY(min(a, b), max(a, b))
+    by_x = _order([p.x for p in pts], DuplicateX)
+    by_y = _order([p.y for p in pts], DuplicateY)
     return PointSet(pts, by_x, by_y)
+
+
+def _order(vals: list[int], tie_error: type[GeomError]) -> list[int]:
+    """Ids in increasing value order.  The sort is stable, so tied ids keep
+    index order and the first adjacent tie names the lowest tied value's
+    two smallest ids, raised as tie_error."""
+    arr = coord_array(vals)
+    order = np.argsort(arr, kind="stable")
+    sv = arr[order]
+    ties = np.flatnonzero(sv[1:] == sv[:-1])
+    if ties.size:
+        k = ties[0]
+        raise tie_error(int(order[k]), int(order[k + 1]))
+    return order.tolist()
 
 
 def dbl(v: Coord) -> int:

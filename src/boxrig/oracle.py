@@ -6,7 +6,9 @@ evaluation for depth, exponential search for independent sets.  Nothing here
 shares code with the fast paths.
 
 Query points may have half-integer coordinates (cell midpoints); all
-comparisons happen on the doubled-integer lattice, see geom.dbl.
+comparisons happen on the doubled-integer lattice, see geom.dbl.  Coordinate
+arrays come from geom.coord_array and areas are summed in Python integers,
+so every answer is exact at any coordinate size.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import Coord, PointSet, Rect, dbl, rect_of
+from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
 
 
 class InstanceTooLarge(ValueError):
@@ -29,11 +31,6 @@ class EdgeSet:
 
     edges: frozenset
     n: int
-
-    @staticmethod
-    def from_pairs(pairs, n: int) -> "EdgeSet":
-        canon = frozenset((a, b) if a < b else (b, a) for a, b in pairs)
-        return EdgeSet(canon, n)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -122,8 +119,8 @@ def _rect_arrays(ps: PointSet, edges: EdgeSet | None = None):
         return z, z, z, z
     ii = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
     jj = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    px = np.asarray(xs, dtype=np.int64) * 2
-    py = np.asarray(ys, dtype=np.int64) * 2
+    px = coord_array([2 * x for x in xs])
+    py = coord_array([2 * y for y in ys])
     x1 = np.minimum(px[ii], px[jj])
     x2 = np.maximum(px[ii], px[jj])
     y1 = np.minimum(py[ii], py[jj])
@@ -142,8 +139,8 @@ def brute_depth(ps: PointSet, q: tuple[Coord, Coord],
 def brute_depth_many(ps: PointSet, qs, edges: EdgeSet | None = None) -> np.ndarray:
     """Vectorised brute_depth for a list of (x, y) queries."""
     x1, x2, y1, y2 = _rect_arrays(ps, edges)
-    qx = np.fromiter((dbl(q[0]) for q in qs), dtype=np.int64)
-    qy = np.fromiter((dbl(q[1]) for q in qs), dtype=np.int64)
+    qx = coord_array([dbl(q[0]) for q in qs])
+    qy = coord_array([dbl(q[1]) for q in qs])
     out = np.zeros(len(qx), dtype=np.int64)
     for s in range(0, len(qx), 512):
         e = min(s + 512, len(qx))
@@ -166,9 +163,9 @@ def brute_hull_members(ps: PointSet, qs, edges: EdgeSet | None = None) -> np.nda
 def _candidate_axis(vals: list[int]) -> np.ndarray:
     """Doubled grid coordinates: every value plus every midpoint between
     consecutive values.  Depth is piecewise constant on the induced grid."""
-    v = np.asarray(sorted(vals), dtype=np.int64) * 2
-    mids = (v[:-1] + v[1:]) // 2
-    return np.unique(np.concatenate([v, mids]))
+    v = sorted(vals)
+    mids = [a + b for a, b in zip(v, v[1:])]
+    return coord_array(sorted([2 * a for a in v] + mids))
 
 
 def brute_max_depth(ps: PointSet, edges: EdgeSet | None = None):
@@ -214,21 +211,23 @@ def union_area(rects) -> int:
             boxes.append(tuple(r))
     if not boxes:
         return 0
-    xs = np.unique(np.array([b[0] for b in boxes] + [b[2] for b in boxes]))
-    ys = np.unique(np.array([b[1] for b in boxes] + [b[3] for b in boxes]))
+    xs = sorted({b[0] for b in boxes} | {b[2] for b in boxes})
+    ys = sorted({b[1] for b in boxes} | {b[3] for b in boxes})
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: i for i, v in enumerate(ys)}
     cov = np.zeros((len(xs), len(ys)), dtype=np.int64)
     for x1, y1, x2, y2 in boxes:
-        i1, i2 = np.searchsorted(xs, (x1, x2))
-        j1, j2 = np.searchsorted(ys, (y1, y2))
+        i1, i2, j1, j2 = xi[x1], xi[x2], yi[y1], yi[y2]
         cov[i1, j1] += 1
         cov[i1, j2] -= 1
         cov[i2, j1] -= 1
         cov[i2, j2] += 1
-    cov = cov.cumsum(axis=0).cumsum(axis=1)
-    wx = np.diff(xs)
-    wy = np.diff(ys)
-    cells = (cov[:-1, :-1] > 0)
-    return int((wx[:, None] * wy[None, :] * cells).sum())
+    cells = cov.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
+    # covered length of each x slab; offsets from the lowest y keep it exact
+    # in int64 whenever the y span fits
+    wy = np.diff(coord_array([y - ys[0] for y in ys]))
+    lengths = (cells @ wy).tolist()
+    return sum((b - a) * h for a, b, h in zip(xs, xs[1:], lengths))
 
 
 def hull_union_area(ps: PointSet) -> int:

@@ -4,17 +4,17 @@ A lazy Bentley-Saxe forest of perfect trees backs the stack: pushes append
 rank-0 trees and cascade-merge whenever three trees share a rank (two per
 rank are allowed; the laziness is what keeps pops cheap), pops reuse
 previously built subtrees by handle, and every created tree is registered as
-an immutable canonical set.  Range reports decompose into O(log n) canonical
-ids plus at most two partial runs.  A version is recorded after every
+an immutable canonical set.  A range report is one top-down walk over a
+version: it answers O(log n) canonical ids plus at most two partial runs
+(and, buffered, explicit buffer elements).  A version is recorded after every
 operation, so reports can be answered against any past step; forest and
 buffer are immutable cons chains, making each version O(1) amortized space.
 
 The buffered variant keeps up to tau incoming singletons in a FIFO buffer
 and flushes the oldest ceil(log2 n) of them into one canonical block when
-the buffer overflows, so every canonical set has at least logarithmic size;
-reports may then also return explicit buffer elements.  The buffer is the
-persistent chain alone: a flush reads its oldest block off the chain and
-rebuilds the rest, O(tau) like the flush itself.
+the buffer overflows, so every canonical set has at least logarithmic size.
+The buffer is the persistent chain alone: a flush reads its oldest block off
+the chain and rebuilds the rest, O(tau) like the flush itself.
 
 Every arrival (push, replace_top, each entry of run_monotone_script) is one
 private step: pop a count, push one element, record the version.
@@ -31,50 +31,6 @@ class NonMonotoneKey(ValueError):
 
 class StackUnderflow(ValueError):
     """pop(k) asked for more elements than the stack holds."""
-
-
-class RangeReport:
-    """Ordered answer of one range query: canonical ids plus explicit
-    (key, payload) elements from partial runs and the buffer."""
-
-    __slots__ = ("parts", "part_count")
-
-    def __init__(self):
-        self.parts: list = []  # ("canon", cid) | ("elems", [(key, payload), ...])
-        self.part_count = 0
-
-    def add_canon(self, cid: int):
-        self.parts.append(("canon", cid))
-        self.part_count += 1
-
-    def add_elems(self, elems: list):
-        if not elems:
-            return
-        self.parts.append(("elems", elems))
-        self.part_count += len(elems)
-
-    @property
-    def canonical_ids(self) -> list:
-        return [v for k, v in self.parts if k == "canon"]
-
-    @property
-    def explicit(self) -> list:
-        out = []
-        for k, v in self.parts:
-            if k == "elems":
-                out.extend(v)
-        return out
-
-    def expand(self, stack: "RangeStack") -> list:
-        """Full ordered (key, payload) expansion."""
-        out = []
-        for kind, v in self.parts:
-            if kind == "canon":
-                s, e = stack._t_start[v], stack._t_start[v] + stack._tree_size(v)
-                out.extend(zip(stack._ekeys[s:e], stack._epayload[s:e]))
-            else:
-                out.extend(v)
-        return out
 
 
 class RangeStack:
@@ -371,105 +327,85 @@ class RangeStack:
 
     # -- reporting ----------------------------------------------------------
 
-    def report(self, lo, hi) -> RangeReport:
-        """Elements with key in [lo, hi] on the current state."""
-        return self.report_at_time(self.step, lo, hi)
-
-    def report_at_time(self, t: int, lo, hi) -> RangeReport:
-        """Same as report, answered against the version after step t."""
-        rep = RangeReport()
-        if lo > hi:
-            return rep
-        ek = self._ekeys
-        starts, ranks = self._t_start, self._t_rank
-        block = self.block
-        for tid in self.forest_ids(t):
-            s = starts[tid]
-            z = (1 << ranks[tid]) * block
-            if ek[s + z - 1] < lo:
-                continue
-            if ek[s] > hi:
-                break
-            if lo <= ek[s] and ek[s + z - 1] <= hi:
-                rep.add_canon(tid)
-            else:
-                self._decompose(tid, lo, hi, rep)
-        if self._v_buffer[t] is not None:
-            items = [kp for kp in self.buffer_items(t) if lo <= kp[0] <= hi]
-            rep.add_elems(items)
-        return rep
+    def report_at_time(self, t: int, lo, hi) -> tuple[list, list]:
+        """(canonical ids, explicit (key, payload) pairs) of the elements
+        with key in [lo, hi] at step t, both key-ascending."""
+        return self._walk(t, lo, hi, False)
 
     def suffix_at(self, t: int, lo_exclusive) -> tuple[list, list]:
-        """Fast path for quadrant queries: (canonical ids, explicit
-        (key, payload) pairs) of all elements with key > lo_exclusive at
-        step t, both key-ascending.  Touches only the trees that contribute
-        to the answer."""
-        buf_elems: list = []
-        node = self._v_buffer[t]
-        while node is not None and node[0] > lo_exclusive:
-            buf_elems.append((node[0], node[1]))
-            node = node[2]
-        buf_elems.reverse()
-        if node is not None:
-            # the suffix ends inside the buffer; the forest is all below it
-            return [], buf_elems
-        whole: list[int] = []
-        bound_canons: list[int] = []
-        bound_elems: list = []
-        ek = self._ekeys
-        starts = self._t_start
-        head = self._v_forest[t]
-        while head is not None:
-            tid = head[0]
-            s = starts[tid]
-            if ek[s] > lo_exclusive:
-                whole.append(tid)
-                head = head[1]
-                continue
-            z = self._tree_size(tid)
-            if ek[s + z - 1] > lo_exclusive:
-                rep = RangeReport()
-                self._decompose(tid, lo_exclusive, ek[s + z - 1], rep,
-                                strict_lo=True)
-                for kind, v in rep.parts:
-                    if kind == "canon":
-                        bound_canons.append(v)
-                    else:
-                        bound_elems.extend(v)
-            break
-        whole.reverse()
-        return bound_canons + whole, bound_elems + buf_elems
+        """The same answer for the elements with key > lo_exclusive: the
+        quadrant query of the cover builds."""
+        return self._walk(t, lo_exclusive, None, True)
 
-    def _decompose(self, tid: int, lo, hi, rep: RangeReport,
-                   strict_lo: bool = False):
+    def _walk(self, t: int, lo, hi, strict_lo: bool) -> tuple[list, list]:
+        """One top-down walk over version t: skip what lies above hi (None:
+        no upper bound), take whole trees, split at most two boundary trees
+        and stop below lo.  Collects key-descending, returns ascending."""
+        canons: list[int] = []
+        elems: list = []
+        node = self._v_buffer[t]
+        while node is not None:
+            key = node[0]
+            if key < lo or strict_lo and key == lo:
+                break
+            if hi is None or key <= hi:
+                elems.append((key, node[1]))
+            node = node[2]
+        # a walk that stops inside the buffer has the whole forest below lo
+        head = self._v_forest[t] if node is None else None
+        ek, starts, ranks = self._ekeys, self._t_start, self._t_rank
+        block = self.block
+        while head is not None:
+            tid, head = head
+            s = starts[tid]
+            first = ek[s]
+            if hi is not None and first > hi:
+                continue                    # above the range
+            in_lo = first > lo or first == lo and not strict_lo
+            if in_lo and (hi is None or ek[s + (block << ranks[tid]) - 1] <= hi):
+                canons.append(tid)          # inside the range
+                continue
+            if not in_lo:
+                last = ek[s + (block << ranks[tid]) - 1]
+                if last < lo or strict_lo and last == lo:
+                    break                   # below lo, as is every tree under it
+            part_canons, part_elems = [], []
+            self._decompose(tid, lo, hi, strict_lo, part_canons, part_elems)
+            canons.extend(reversed(part_canons))
+            elems.extend(reversed(part_elems))
+            if not in_lo:
+                break
+        canons.reverse()
+        elems.reverse()
+        return canons, elems
+
+    def _decompose(self, tid: int, lo, hi, strict_lo: bool, canons: list,
+                   elems: list):
         """Boundary tree: partial blocks go out explicitly, aligned full
-        blocks as canonical subtree ids (<= 2*rank of them)."""
+        blocks as canonical subtree ids (<= 2*rank of them), key-ascending."""
         ek, ep = self._ekeys, self._epayload
         s = self._t_start[tid]
         z = self._tree_size(tid)
-        if strict_lo:
-            i = bisect_right(ek, lo, s, s + z) - s
-        else:
-            i = bisect_left(ek, lo, s, s + z) - s
-        j = bisect_right(ek, hi, s, s + z) - s
+        i = (bisect_right if strict_lo else bisect_left)(ek, lo, s, s + z) - s
+        j = z if hi is None else bisect_right(ek, hi, s, s + z) - s
         if i >= j:
             return
         block = self.block
         bi, ri = divmod(i, block)
         bj, rj = divmod(j, block)
         if bi == bj:
-            rep.add_elems(list(zip(ek[s + i:s + j], ep[s + i:s + j])))
+            elems.extend(zip(ek[s + i:s + j], ep[s + i:s + j]))
             return
         if ri:
             e = s + (bi + 1) * block
-            rep.add_elems(list(zip(ek[s + i:e], ep[s + i:e])))
+            elems.extend(zip(ek[s + i:e], ep[s + i:e]))
             bi += 1
-        self._aligned_nodes(tid, bi, bj, rep)
+        self._aligned_nodes(tid, bi, bj, canons)
         if rj:
             b0 = s + bj * block
-            rep.add_elems(list(zip(ek[b0:s + j], ep[b0:s + j])))
+            elems.extend(zip(ek[b0:s + j], ep[b0:s + j]))
 
-    def _aligned_nodes(self, tid: int, blo: int, bhi: int, rep: RangeReport):
+    def _aligned_nodes(self, tid: int, blo: int, bhi: int, canons: list):
         """Canonical cover of full-block range [blo, bhi) inside tid; the
         emitted handles are the origin trees the copies were made from,
         left to right."""
@@ -479,7 +415,7 @@ class RangeStack:
             off, rank, origin = todo.pop()
             end = off + (1 << rank)
             if blo <= off and end <= bhi:
-                rep.add_canon(origin)
+                canons.append(origin)
             elif off < bhi and blo < end:
                 half = 1 << (rank - 1)
                 todo.append((off + half, rank - 1, ror[origin]))

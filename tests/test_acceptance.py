@@ -44,6 +44,15 @@ def grid_queries2(ps, count, rng, pad=2):
     return np.array(qx, dtype=np.int64), np.array(qy, dtype=np.int64)
 
 
+def halves(qx2, qy2):
+    """Doubled-coordinate arrays as half-integer (x, y) queries."""
+    return [(Fraction(int(x), 2), Fraction(int(y), 2)) for x, y in zip(qx2, qy2)]
+
+
+def members(h, qs):
+    return np.array([h.contains(q) for q in qs])
+
+
 def test_01_extremal_count():
     t0 = time.perf_counter()
     for m in (2, 4, 8, 16, 32):
@@ -122,6 +131,12 @@ def _stack_script(n, seed):
     return s, pushes, key
 
 
+def _expanded_keys(s, canons, elems):
+    """Sorted keys of a (canonical ids, elements) range answer."""
+    keys = [k for cid in canons for k, _ in s.canonical_elements(cid)]
+    return sorted(keys + [k for k, _ in elems])
+
+
 def test_04_stack_amortized_bounds():
     for n in (1000, 10_000, 100_000):
         s, pushes, maxkey = _stack_script(n, seed=9)
@@ -151,13 +166,12 @@ def test_04_stack_amortized_bounds():
             t = rng.randint(0, s.step)
             lo = rng.randint(0, maxkey)
             hi = rng.randint(lo, maxkey + 2)
-            rep = s.report_at_time(t, lo, hi)
-            parts_worst = max(parts_worst, rep.part_count)
+            canons, elems = s.report_at_time(t, lo, hi)
+            parts_worst = max(parts_worst, len(canons) + len(elems))
             i, j = np.searchsorted(keys, (lo, hi + 1))
             mask = (born[i:j] <= t) & (t < died[i:j])
             expect = keys[i:j][mask].tolist()
-            got = [k for k, _ in rep.expand(s)]
-            assert got == expect
+            assert _expanded_keys(s, canons, elems) == expect
         assert parts_worst <= 4 * logn
     report("4 stack bounds",
            f"n up to 1e5, worst report parts {parts_worst}")
@@ -170,11 +184,9 @@ def test_05_box_hull():
         n = rng.randint(8, 300)
         ps = small_uniform(n, seed=idx + 100)
         h = build_hull(ps)
-        qx2, qy2 = grid_queries2(ps, 10_000, rng)
-        fast = h.contains_many2(qx2, qy2)
-        slow = brute_hull_members(
-            ps, list(zip((Fraction(int(x), 2) for x in qx2),
-                         (Fraction(int(y), 2) for y in qy2))))
+        qs = halves(*grid_queries2(ps, 10_000, rng))
+        fast = members(h, qs)
+        slow = brute_hull_members(ps, qs)
         assert np.array_equal(fast, slow), f"membership mismatch, instance {idx}"
         # axis convexity on 1000 random lines: membership row has one run
         xs = sorted(ps.xs)
@@ -183,13 +195,13 @@ def test_05_box_hull():
             c2 = rng.randint(2 * xs[0] - 2, 2 * xs[-1] + 2)
             samp = np.array(sorted(rng.randint(2 * ys[0] - 2, 2 * ys[-1] + 2)
                                    for _ in range(24)), dtype=np.int64)
-            row = h.contains_many2(np.full(len(samp), c2, dtype=np.int64), samp)
+            row = members(h, halves(np.full(len(samp), c2), samp))
             assert np.count_nonzero(np.diff(row.astype(np.int8))) <= 2
         for _ in range(500):
             c2 = rng.randint(2 * ys[0] - 2, 2 * ys[-1] + 2)
             samp = np.array(sorted(rng.randint(2 * xs[0] - 2, 2 * xs[-1] + 2)
                                    for _ in range(24)), dtype=np.int64)
-            row = h.contains_many2(samp, np.full(len(samp), c2, dtype=np.int64))
+            row = members(h, halves(samp, np.full(len(samp), c2)))
             assert np.count_nonzero(np.diff(row.astype(np.int8))) <= 2
         dc = disjoint_cover(ps)
         boxes = [(p.lo[0], p.lo[1], p.hi[0], p.hi[1]) for p in dc.pieces]
@@ -212,9 +224,7 @@ def test_06_depth_contract(eps):
         n = rng.randint(10, 300)
         ps = small_uniform(n, seed=idx + 50)
         ix = build_depth_index(ps, eps)
-        qx2, qy2 = grid_queries2(ps, 300, rng)
-        qs = [(Fraction(int(x), 2), Fraction(int(y), 2))
-              for x, y in zip(qx2, qy2)]
+        qs = halves(*grid_queries2(ps, 300, rng))
         truths = brute_depth_many(ps, qs)
         for q, true in zip(qs, truths):
             a = ix.query(q)

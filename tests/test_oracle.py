@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from boxrig.boxhull import build_hull
 from boxrig.geom import validate
 from boxrig.oracle import (InstanceTooLarge, brute_depth, brute_depth_many,
                            brute_hull_member, brute_k_rig, brute_max_depth,
                            brute_mis, brute_rig, brute_rig_triple_loop,
-                           rects_of)
+                           hull_union_area, rects_of, union_area)
 from conftest import small_uniform, two_diagonals
 
 
@@ -162,3 +163,29 @@ def test_mis_matches_exhaustive():
 def test_mis_cap():
     with pytest.raises(InstanceTooLarge):
         brute_mis(small_uniform(15, seed=0))
+
+
+@pytest.mark.parametrize("shift", [1 << 62, 1 << 70])
+def test_depth_exact_at_any_coordinate_size(shift):
+    # doubled coordinates leave int64; a shift moves no depth
+    ps = small_uniform(12, seed=8)
+    far = validate([(x + shift, y - shift) for x, y in ps.coords()])
+    qs = [(Fraction(x, 2), Fraction(y, 2)) for x in range(-2, 100, 5)
+          for y in range(-2, 100, 7)]
+    far_qs = [(x + shift, y - shift) for x, y in qs]
+    want = brute_depth_many(ps, qs)
+    assert brute_depth_many(far, far_qs).tolist() == want.tolist()
+    assert [brute_depth(far, q) for q in far_qs[:20]] == want[:20].tolist()
+    (wx, wy), d = brute_max_depth(ps)
+    assert brute_max_depth(far) == ((wx + shift, wy - shift), d)
+
+
+def test_union_area_exact_on_a_2_40_grid():
+    # areas past int64: every coordinate scaled by 2**40 scales areas by 2**80
+    ps = small_uniform(30, seed=6)
+    big = validate([(x << 40, y << 40) for x, y in ps.coords()])
+    assert hull_union_area(big) == hull_union_area(ps) << 80
+    assert hull_union_area(big) == build_hull(big).area()
+    # a y span past int64 with every coordinate inside it
+    r = (1 << 62) + 5
+    assert union_area([(-r, -r, r, r), (0, 0, 1, 1)]) == (2 * r) ** 2

@@ -17,6 +17,20 @@ def ranks_of(s: RangeStack):
     return [s._t_rank[t] for t in s.forest_ids()]
 
 
+def expand(s: RangeStack, answer):
+    """Key-ordered (key, payload) pairs of a (canonical ids, elements)
+    answer; both lists must come key-ascending."""
+    canons, elems = answer
+    out = [kp for cid in canons for kp in s.canonical_elements(cid)]
+    assert out == sorted(out) and elems == sorted(elems)
+    return sorted(out + elems)
+
+
+def parts(answer):
+    canons, elems = answer
+    return len(canons) + len(elems)
+
+
 class ShadowScript:
     """Replay oracle: every element records its push/pop step; the content
     at step t is reconstructed independently of the forest machinery."""
@@ -92,7 +106,7 @@ def test_popped_keys_may_reenter():
     s.push(2)  # above the new top, fine
     with pytest.raises(NonMonotoneKey):
         s.push(1)
-    assert [k for k, _ in s.report(0, 9).expand(s)] == [1, 2]
+    assert [k for k, _ in expand(s, s.report_at_time(s.step, 0, 9))] == [1, 2]
 
 
 def test_pop_examples():
@@ -145,33 +159,29 @@ def test_report_full_tree_of_8():
     s = RangeStack(16)
     for k in range(1, 9):
         s.push(k)
-    rep = s.report(3, 6)
-    assert [k for k, _ in rep.expand(s)] == [3, 4, 5, 6]
-    assert rep.part_count <= 5  # 2*height - 1 with height 3
+    rep = s.report_at_time(s.step, 3, 6)
+    assert [k for k, _ in expand(s, rep)] == [3, 4, 5, 6]
+    assert parts(rep) <= 5  # 2*height - 1 with height 3
 
 
 def test_report_full_range_returns_roots():
     s = RangeStack(16)
     for k in range(1, 9):
         s.push(k)
-    rep = s.report(1, 8)
-    assert rep.canonical_ids == s.forest_ids()
-    assert not rep.explicit
+    assert s.report_at_time(s.step, 1, 8) == (s.forest_ids(), [])
 
 
-def test_suffix_at_matches_report():
-    s, shadow, maxkey = run_script(400, seed=21, buffered=True)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_suffix_at_matches_report(buffered):
+    s, shadow, maxkey = run_script(400, seed=21, buffered=buffered)
     rng = random.Random(3)
     for _ in range(200):
         t = rng.randint(0, s.step)
         lo = rng.randint(-2, maxkey + 2)
-        canons, elems = s.suffix_at(t, lo)
-        expect = shadow.content_at(t, lo + 1, math.inf)
-        got = []
-        for cid in canons:
-            got.extend(s.canonical_elements(cid))
-        got.extend(elems)
-        assert sorted(got) == sorted(expect)
+        got = s.suffix_at(t, lo)
+        assert expand(s, got) == shadow.content_at(t, lo + 1, math.inf)
+        # integer keys: the open suffix is the closed range from lo + 1
+        assert got == s.report_at_time(t, lo + 1, maxkey)
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -181,8 +191,8 @@ def test_report_matches_shadow_randomized(buffered):
     for _ in range(300):
         lo = rng.randint(-2, maxkey + 2)
         hi = rng.randint(lo, maxkey + 3)
-        rep = s.report(lo, hi)
-        assert rep.expand(s) == shadow.content_at(s.step, lo, hi)
+        rep = s.report_at_time(s.step, lo, hi)
+        assert expand(s, rep) == shadow.content_at(s.step, lo, hi)
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -194,14 +204,16 @@ def test_report_at_time_matches_shadow(buffered):
         lo = rng.randint(-2, maxkey + 2)
         hi = rng.randint(lo, maxkey + 3)
         rep = s.report_at_time(t, lo, hi)
-        assert rep.expand(s) == shadow.content_at(t, lo, hi)
+        assert expand(s, rep) == shadow.content_at(t, lo, hi)
 
 
 def test_report_at_current_equals_report():
-    s, _, maxkey = run_script(200, seed=6)
-    rep1 = s.report(3, maxkey)
-    rep2 = s.report_at_time(s.step, 3, maxkey)
-    assert rep1.expand(s) == rep2.expand(s)
+    # the version the last step recorded is the live forest and buffer
+    s, _, maxkey = run_script(200, seed=6, buffered=True)
+    live = [kp for cid in s.forest_ids() for kp in s.canonical_elements(cid)]
+    live += s.buffer_items()
+    rep = s.report_at_time(s.step, 3, maxkey)
+    assert expand(s, rep) == [kp for kp in live if kp[0] >= 3]
 
 
 def test_persistence_pop_then_query_past():
@@ -210,15 +222,15 @@ def test_persistence_pop_then_query_past():
     tb = s.push(2, "b")
     s.pop(1)
     rep = s.report_at_time(tb, 1, 5)
-    assert [p for _, p in rep.expand(s)] == ["a", "b"]
+    assert [p for _, p in expand(s, rep)] == ["a", "b"]
     rep = s.report_at_time(s.step, 1, 5)
-    assert [p for _, p in rep.expand(s)] == ["a"]
+    assert [p for _, p in expand(s, rep)] == ["a"]
     assert ta == 1
 
 
 def test_mutation_never_changes_history():
     s, shadow, maxkey = run_script(300, seed=13)
-    frozen = [(t, s.report_at_time(t, 0, maxkey).expand(s))
+    frozen = [(t, expand(s, s.report_at_time(t, 0, maxkey)))
               for t in range(0, s.step, 17)]
     key = maxkey
     for _ in range(100):
@@ -227,7 +239,7 @@ def test_mutation_never_changes_history():
         if s.size > 3:
             s.pop(3)
     for t, expect in frozen:
-        assert s.report_at_time(t, 0, maxkey).expand(s) == expect
+        assert expand(s, s.report_at_time(t, 0, maxkey)) == expect
 
 
 def test_buffered_flush_rule_n256():
@@ -293,8 +305,8 @@ def test_amortized_bounds_and_replay(n):
         lo = rng.randint(-2, maxkey + 2)
         hi = rng.randint(lo, maxkey + 3)
         rep = s.report_at_time(t, lo, hi)
-        assert rep.part_count <= 4 * logn
-        assert [k for k, _ in rep.expand(s)] == oracle(t, lo, hi)
+        assert parts(rep) <= 4 * logn
+        assert [k for k, _ in expand(s, rep)] == oracle(t, lo, hi)
 
 
 def monotone_script(n, seed):
@@ -332,7 +344,7 @@ def test_monotone_script_matches_replace_top_replay(n, seed):
         assert bulk.buffer_items(t) == twin.buffer_items(t)
         lo = rng.randint(-1, keys[-1])
         for q in ((lo, rng.randint(lo, keys[-1] + 1)), (-1, keys[-1])):
-            assert bulk.report_at_time(t, *q).parts == twin.report_at_time(t, *q).parts
+            assert bulk.report_at_time(t, *q) == twin.report_at_time(t, *q)
 
 
 def test_monotone_script_checks_keys_against_the_script():
