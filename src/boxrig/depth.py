@@ -20,8 +20,9 @@ leaf-prefix snapshot every B events plus, per block of B events, a prefix
 table over the leaves that block touches).  DepthIndex answers a stabbing
 sum with three bisects and two table reads; approx_max_depth reads the
 deepest point off the same table with two numpy max reductions.
-The exact searches (log_approx_max_depth, approx_mis) share one pre-order
-walk over x-median slabs.
+The slab searches (log_approx_max_depth, approx_mis) share one pre-order
+walk over x-median slabs; on a slab's median line the stabbed rectangles are
+y-intervals, read off one stack sweep of the slab's y order with no cover.
 
 Exact depth at a point (exact_depth_at) needs no overlay: it is the sum of
 k * l over the bicliques.  A rank-space view of the cover's sides (the x
@@ -43,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from .cover import ORIENT_DOM, BicliqueCover, build_cover
-from .geom import Coord, Point, PointSet, Rect, coord_array, dbl, rect_of
+from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
 
 
 class EpsOutOfRange(ValueError):
@@ -514,83 +515,82 @@ def approx_max_depth(ps: PointSet, eps: float):
 
 
 def _slabs(ps: PointSet):
-    """Pre-order walk of the x-median recursion: (level, ids, sub, c2,
-    cover) for every slab of at least two points, where ids are the slab's
-    points in x order, sub is them as a point set (local ids), c2 the
-    doubled x of the splitting line and cover the compact cover of sub.
-    A slab is a run [lo, hi) of x ranks; its point set is built from the
-    parent's orders (the slab's x ranks in y order ride along the walk), so
-    nothing is sorted or checked again."""
-    xs, ys, by_x, rank_x = ps.xs, ps.ys, ps.by_x, ps.rank_x
-    todo = [(0, 0, ps.n, [rank_x[i] for i in ps.by_y])]
+    """Pre-order walk of the x-median recursion: (level, cut, ranks) for
+    every slab of at least two points.  A slab is a run [lo, hi) of x ranks
+    split at x rank cut; ranks are its x ranks in y order, which ride along
+    the walk, so nothing is sorted again."""
+    todo = [(0, 0, ps.n, [ps.rank_x[i] for i in ps.by_y])]
     while todo:
-        level, lo, hi, ranks_by_y = todo.pop()
+        level, lo, hi, ranks = todo.pop()
         if hi - lo < 2:
             continue
-        ids = by_x[lo:hi]
-        sub = PointSet([Point(xs[i], ys[i], j) for j, i in enumerate(ids)],
-                       range(hi - lo), [r - lo for r in ranks_by_y])
         cut = lo + (hi - lo) // 2
-        yield level, ids, sub, 2 * xs[by_x[cut]], build_cover(sub)
-        todo.append((level + 1, cut, hi, [r for r in ranks_by_y if r >= cut]))
-        todo.append((level + 1, lo, cut, [r for r in ranks_by_y if r < cut]))
+        yield level, cut, ranks
+        todo.append((level + 1, cut, hi, [r for r in ranks if r >= cut]))
+        todo.append((level + 1, lo, cut, [r for r in ranks if r < cut]))
 
 
-def _line_max(cover: BicliqueCover, sub: PointSet, c2: int):
-    """Exact maximum depth of the cover's rectangle family on the vertical
-    line x = c2/2, with the achieving doubled y."""
-    events: dict[int, int] = {}
-    xs, ys = sub.xs, sub.ys
-    for b in cover.bicliques:
-        bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-        zx = -c2 if flipped else c2
-        nb = bisect_right(bx2, zx)       # B prefix straddling the line
-        na = len(ax2) - bisect_left(ax2, zx)
-        if nb == 0 or na == 0:
-            continue
-        bys = sorted(by2[:nb])
-        ays = sorted(ay2[len(ay2) - na:])
-        # depth along the line: (#b.y <= y) * (#a.y >= y); the product is
-        # constant between breakpoints, which sit at each b.y (count up)
-        # and each a.y + 1 (count down)
-        breaks = sorted({y for y in bys} | {y + 1 for y in ays})
-        for i2, y in enumerate(breaks[:-1]):
-            kb = bisect_right(bys, y)
-            la = len(ays) - bisect_left(ays, y)
-            w = kb * la
-            if w:
-                events[y] = events.get(y, 0) + w
-                nxt = breaks[i2 + 1]
-                events[nxt] = events.get(nxt, 0) - w
-    if not events:
-        return None
-    best = (0, None)
-    run = 0
-    for y in sorted(events):
-        run += events[y]
-        if run > best[0]:
-            best = (run, y)
-    return best if best[1] is not None else None
+def _stabbed(ranks: list[int], cut: int):
+    """The empty rectangles of a slab whose closed x-span holds the x of its
+    cut point c, by upper corner: (count, top) per y position i of ranks,
+    with count[i] the number of such rectangles with point i as upper
+    corner and top[i] the y position of the highest partner (-1 if none).
+
+    One sweep up the y order per orientation (the second on x ranks
+    mirrored through cut).  Lower corners (rank <= cut) sit on a stack, a
+    corner popped when one nearer the line arrives, so the stack is the
+    staircase facing the line.  An upper corner q (rank >= cut) pairs with
+    the stack entries above its floor: the last earlier upper corner
+    strictly right of c and nearer the line than q, read off a
+    previous-nearer chain.  c queries with no floor before it is pushed,
+    and never enters the chain (any corner it would block, it has
+    popped)."""
+    count, top = [0] * len(ranks), [-1] * len(ranks)
+    for sign in (1, -1):
+        dist = [sign * (r - cut) for r in ranks]
+        stack, chain = [], []
+        for i, d in enumerate(dist):
+            if d >= 0:
+                floor = -1
+                if d:
+                    while chain and dist[chain[-1]] > d:
+                        chain.pop()
+                    if chain:
+                        floor = chain[-1]
+                    chain.append(i)
+                k = bisect_right(stack, floor)
+                if k < len(stack):
+                    count[i] += len(stack) - k
+                    top[i] = max(top[i], stack[-1])
+            if d <= 0:
+                while stack and dist[stack[-1]] < d:
+                    stack.pop()
+                stack.append(i)
+    return count, top
 
 
 def log_approx_max_depth(ps: PointSet):
     """Divide and conquer on x-median lines.  Every candidate value is the
     exact depth of its point within the slab's own rectangle set, a lower
     bound on the true depth; the reported value is the exact global depth at
-    the winning point."""
+    the winning point.  On a slab's line the stabbed rectangles are
+    y-intervals, whose depth is swept from their corner counts."""
     if ps.n < 2:
         raise ValueError("need at least two points")
+    xs, ys, by_x = ps.xs, ps.ys, ps.by_x
     best_val, best_xy = 0, None
-    root = None
-    for level, _, sub, c2, cov in _slabs(ps):
-        if level == 0:
-            root = (cov, sub)    # all points: depth needs only coordinates
-        got = _line_max(cov, sub, c2)
-        if got is not None and got[0] > best_val:
-            best_val, best_xy = got[0], (c2, got[1])
+    for _, cut, ranks in _slabs(ps):
+        upper, _ = _stabbed(ranks, cut)
+        lower = _stabbed(ranks[::-1], cut)[0][::-1]
+        run = 0
+        for r, up, low in zip(ranks, upper, lower):
+            run += low
+            if run > best_val:
+                best_val, best_xy = run, (xs[by_x[cut]], ys[by_x[r]])
+            run -= up
     assert best_xy is not None
-    point = (Fraction(best_xy[0], 2), Fraction(best_xy[1], 2))
-    return point, exact_depth_at(*root, point)
+    point = (Fraction(best_xy[0]), Fraction(best_xy[1]))
+    return point, exact_depth_at(build_cover(ps), ps, point)
 
 
 # ---------------------------------------------------------------------------
@@ -598,30 +598,21 @@ def log_approx_max_depth(ps: PointSet):
 
 
 def approx_mis(ps: PointSet) -> list[Rect]:
-    """Per recursion level: one candidate rectangle per stabbed biclique
-    (highest point of the lower side with lowest point of the upper side,
-    the narrowest of the family), greedy 1-D interval MIS on the line, then
-    keep the best single level (same-level slabs are x-disjoint)."""
+    """Per recursion level: the exact interval MIS of each slab line's
+    stabbed rectangles, which are disjoint exactly when their y-intervals
+    are.  Going up the y order, each upper corner's highest partner is taken
+    whenever it lies above the last rectangle taken (earliest end first,
+    ties to the highest bottom).  Keeps the best single level (same-level
+    slabs are x-disjoint); a rectangle's support is (left, right) corner."""
     if ps.n < 2:
         raise ValueError("need at least two points")
     levels: dict[int, list] = {}
-    for level, ids, sub, c2, cov in _slabs(ps):
-        cands = []
-        for b in cov.bicliques:
-            if b.orientation == ORIENT_DOM:
-                low, high = b.left[0], b.right[-1]
-            else:
-                low, high = b.right[0], b.left[-1]
-            r = rect_of(sub[low], sub[high])
-            if 2 * r.lo[0] <= c2 <= 2 * r.hi[0]:
-                cands.append((r.lo[1], r.hi[1], ids[low], ids[high]))
-        cands.sort(key=lambda c: c[1])
+    for level, cut, ranks in _slabs(ps):
         chosen = levels.setdefault(level, [])
-        last_hi = None
-        for y1, y2, ga, gb in cands:
-            if last_hi is None or y1 > last_hi:
-                chosen.append(rect_of(ps[ga], ps[gb]))
-                last_hi = y2
-    if not levels:
-        return []
+        last = -1
+        for i, j in enumerate(_stabbed(ranks, cut)[1]):
+            if j > last:
+                left, right = sorted((ranks[i], ranks[j]))
+                chosen.append(rect_of(ps[ps.by_x[left]], ps[ps.by_x[right]]))
+                last = i
     return max(levels.values(), key=len)

@@ -108,17 +108,8 @@ class PointSet:
         self.points = tuple(points)
         self.xs = [p.x for p in self.points]
         self.ys = [p.y for p in self.points]
-        self.by_x = tuple(by_x)
-        self.by_y = tuple(by_y)
-        n = len(self.points)
-        rank_x = [0] * n
-        rank_y = [0] * n
-        for r, i in enumerate(self.by_x):
-            rank_x[i] = r
-        for r, i in enumerate(self.by_y):
-            rank_y[i] = r
-        self.rank_x = tuple(rank_x)
-        self.rank_y = tuple(rank_y)
+        self.by_x, self.rank_x = _with_inverse(by_x)
+        self.by_y, self.rank_y = _with_inverse(by_y)
 
     @property
     def n(self) -> int:
@@ -135,6 +126,14 @@ class PointSet:
 
     def coords(self) -> list[tuple[int, int]]:
         return [(p.x, p.y) for p in self.points]
+
+
+def _with_inverse(order: Sequence[int]) -> tuple[tuple, tuple]:
+    """A permutation and its inverse, as tuples of ints."""
+    order = np.asarray(order, dtype=np.intp)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return tuple(order.tolist()), tuple(inverse.tolist())
 
 
 def _int_coord(v, i: int) -> int:
@@ -162,7 +161,7 @@ def validate(coords: Iterable[tuple[int, int]]) -> PointSet:
     return PointSet(pts, by_x, by_y)
 
 
-def _order(vals: list[int], tie_error: type[GeomError]) -> list[int]:
+def _order(vals: list[int], tie_error: type[GeomError]) -> np.ndarray:
     """Ids in increasing value order.  The sort is stable, so tied ids keep
     index order and the first adjacent tie names the lowest tied value's
     two smallest ids, raised as tie_error."""
@@ -173,7 +172,7 @@ def _order(vals: list[int], tie_error: type[GeomError]) -> list[int]:
     if ties.size:
         k = ties[0]
         raise tie_error(int(order[k]), int(order[k + 1]))
-    return order.tolist()
+    return order
 
 
 def dbl(v: Coord) -> int:

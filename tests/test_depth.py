@@ -18,7 +18,7 @@ from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells,
                           build_depth_index, exact_depth_at,
                           log_approx_max_depth, lower_corners, query_depth,
                           select_levels, staircase_curves, upper_corners)
-from boxrig.geom import validate
+from boxrig.geom import rect_of, validate
 from boxrig.lab import gen_lower_bound
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
                            brute_mis, brute_rig)
@@ -509,8 +509,8 @@ def test_log_approx_two_diagonals():
 
 
 def test_log_approx_builds_the_full_cover_once(monkeypatch):
-    # the root slab's cover already spans every point; the exact depth at
-    # the winner reuses it
+    # the slab lines need no cover; the exact depth at the winner builds the
+    # one cover of every point
     sizes = []
 
     def counting(ps, *args, **kwargs):
@@ -520,31 +520,86 @@ def test_log_approx_builds_the_full_cover_once(monkeypatch):
     monkeypatch.setattr(boxrig.depth, "build_cover", counting)
     ps = small_uniform(256, 7)
     pt, v = log_approx_max_depth(ps)
-    assert sizes.count(256) == 1
+    assert sizes == [256]
     assert v == exact_depth_at(build_cover(ps), ps, pt)
 
 
-def test_slab_point_sets_match_validated_ones(monkeypatch):
-    # slabs are built from the parent's orders; they must be the point sets
-    # validate would build from the same coordinates, and validate itself
-    # runs only at the boundary
-    sets = [small_uniform(60, 8), gen_lower_bound(12).ps, two_diagonals(13)]
+def median_slabs(ps, level=0, lo=0, hi=None):
+    """Reference pre-order x-median split: (level, cut, the slab's x ranks
+    in y order) per slab [lo, hi) of at least two x ranks."""
+    hi = ps.n if hi is None else hi
+    if hi - lo < 2:
+        return
+    cut = (lo + hi) // 2
+    yield level, cut, sorted(range(lo, hi), key=lambda r: ps.ys[ps.by_x[r]])
+    yield from median_slabs(ps, level + 1, lo, cut)
+    yield from median_slabs(ps, level + 1, cut, hi)
+
+
+def stabbed_intervals(ps, cut, ranks):
+    """brute_rig edges of the slab whose closed x-span holds the x of the
+    cut point, as (bottom, top) y positions into ranks."""
+    sub = validate([(ps.xs[ps.by_x[r]], ps.ys[ps.by_x[r]]) for r in ranks])
+    cx = ps.xs[ps.by_x[cut]]
+    return [(i, j) for i, j in brute_rig(sub).edges
+            if min(sub.xs[i], sub.xs[j]) <= cx <= max(sub.xs[i], sub.xs[j])]
+
+
+def stab_sets():
+    rng = random.Random(11)
+    rand = [validate(list(zip(rng.sample(range(-90, 90), n),
+                              rng.sample(range(-90, 90), n))))
+            for n in (2, 3, 7, 23, 40)]
+    return [small_uniform(60, 8), small_uniform(33, 3), two_diagonals(13),
+            two_diagonals(4), gen_lower_bound(16).ps, gen_lower_bound(12).ps,
+            *rand]
+
+
+def test_slabs_walk_the_median_split(monkeypatch):
+    # slabs carry their x ranks in y order down the walk, and validate runs
+    # only at the boundary
+    sets = stab_sets()
     calls = []
     for name, mod in list(sys.modules.items()):
         if name.startswith("boxrig") and getattr(mod, "validate", None) is validate:
             monkeypatch.setattr(mod, "validate",
                                 lambda *a: calls.append(a) or validate(*a))
     for ps in sets:
-        slabs = 0
-        for _, ids, sub, c2, _ in boxrig.depth._slabs(ps):
-            twin = validate([(ps.xs[i], ps.ys[i]) for i in ids])
-            assert sub.points == twin.points
-            assert (sub.by_x, sub.by_y) == (twin.by_x, twin.by_y)
-            assert (sub.rank_x, sub.rank_y) == (twin.rank_x, twin.rank_y)
-            assert c2 == 2 * ps.xs[ids[len(ids) // 2]]
-            slabs += 1
-        assert slabs == ps.n - 1   # every internal node of the median split
+        slabs = list(boxrig.depth._slabs(ps))
+        assert slabs == list(median_slabs(ps))
+        assert len(slabs) == ps.n - 1   # every internal node of the split
     assert calls == []
+
+
+def test_stabbed_sweep_matches_brute_rig():
+    for ps in stab_sets():
+        for _, cut, ranks in boxrig.depth._slabs(ps):
+            m = len(ranks)
+            edges = stabbed_intervals(ps, cut, ranks)
+            upper, top = boxrig.depth._stabbed(ranks, cut)
+            lower = boxrig.depth._stabbed(ranks[::-1], cut)[0][::-1]
+            assert upper == [sum(j == i for _, j in edges) for i in range(m)]
+            assert lower == [sum(b == i for b, _ in edges) for i in range(m)]
+            assert top == [max((b for b, j in edges if j == i), default=-1)
+                           for i in range(m)]
+
+
+def test_mis_is_the_greedy_interval_mis_of_the_best_level():
+    # per slab line: tops ascending, ties to the highest bottom, taken when
+    # the bottom lies above the last top taken; the first largest level wins
+    for ps in stab_sets():
+        levels = {}
+        for level, cut, ranks in median_slabs(ps):
+            chosen = levels.setdefault(level, [])
+            last = -1
+            for b, j in sorted(stabbed_intervals(ps, cut, ranks),
+                               key=lambda e: (e[1], -e[0])):
+                if b > last:
+                    left, right = sorted((ranks[b], ranks[j]))
+                    chosen.append(rect_of(ps[ps.by_x[left]],
+                                          ps[ps.by_x[right]]))
+                    last = j
+        assert approx_mis(ps) == max(levels.values(), key=len)
 
 
 @pytest.mark.parametrize("n,seed", [(60, 2), (150, 5), (300, 2)])
