@@ -17,9 +17,10 @@ Three variants share this skeleton:
   into one star biclique per query point (O(n) bicliques, same weight);
   strips whose maxima chain never outgrows the stack buffer skip the stack
   and answer by walking chain links;
-* k-level: k+1 stacked maxima layers per strip; an arriving point pops the
-  prefix it dominates from every layer and reinserts layer i's casualties
-  into layer i+1, so layer membership counts within-strip blockers exactly.
+* k-level: k+1 stacked maxima layers per strip, built one layer at a time;
+  an arriving point pops the suffix it dominates from every layer, and layer
+  i's casualties arrive in layer i+1 at the same arrival, so layer
+  membership counts within-strip blockers exactly (basic is k = 0).
 
 The anti-dominance orientation reuses the dominance pipeline on x-reflected
 coordinates.
@@ -171,8 +172,12 @@ def _distribute(by_x, rank_unit, lo, lc, rc):
 
 def _leveled_oriented(ps: PointSet, xs, k: int):
     """Dominance-orientation cover over coordinates xs (negate for the anti
-    orientation): list of (left ids, right ids) pairs covering exactly the
-    pairs with at most k blockers."""
+    orientation): (parts, []), parts being the (left ids, right ids) pairs
+    that cover exactly the pairs with at most k blockers.
+
+    Each y-tree node is built one layer at a time.  At arrival i a layer
+    pops the staircase suffix the arriving point dominates, then pushes its
+    carry: [i] on layer 0, on layer j + 1 what layer j lost at arrival i."""
     n = ps.n
     ys = ps.ys
     rank_y = ps.rank_y
@@ -182,50 +187,32 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
     node_ids = _distribute(by_x, rank_y, lo, lc, rc)
     m = len(lo)
     node_sxs = [None] * m
-    node_epochs = [None] * m
-    node_stacks = [None] * m
+    node_layers = [None] * m     # per layer: (stack, step after each arrival)
     for idx in range(m):
         pts = node_ids[idx].tolist()
-        stacks = [RangeStack(max(len(pts), 1)) for _ in range(k + 1)]
-        mny = [[] for _ in range(k + 1)]   # -y, ascending == stack order
-        mx = [[] for _ in range(k + 1)]
-        mids = [[] for _ in range(k + 1)]
-        sxs: list[int] = []
-        epochs: list[tuple] = []
-        for pid in pts:
-            x = xs[pid]
-            ny = -ys[pid]
-            popped: list[tuple] = []
-            for lev in range(k + 1):
-                a = mny[lev]
-                c = len(a) - bisect_right(a, ny)
-                if c:
-                    stacks[lev].pop(c)
-                    popped.append((mx[lev][-c:], mids[lev][-c:], a[-c:]))
-                    del mx[lev][-c:]
-                    del mids[lev][-c:]
-                    del a[-c:]
-                else:
-                    popped.append(((), (), ()))
-            stacks[0].push(x, pid)
-            mx[0].append(x)
-            mids[0].append(pid)
-            mny[0].append(ny)
-            for lev in range(k):
-                tx, ti, tn = popped[lev]
-                if not tx:
-                    continue
-                nxt = stacks[lev + 1]
-                for e in range(len(tx)):
-                    nxt.push(tx[e], ti[e])
-                mx[lev + 1].extend(tx)
-                mids[lev + 1].extend(ti)
-                mny[lev + 1].extend(tn)
-            sxs.append(x)
-            epochs.append(tuple(s.step for s in stacks))
-        node_sxs[idx] = sxs
-        node_epochs[idx] = epochs
-        node_stacks[idx] = stacks
+        sxs = node_sxs[idx] = [xs[pid] for pid in pts]
+        nys = [-ys[pid] for pid in pts]
+        layers = node_layers[idx] = []
+        carries = [[i] for i in range(len(pts))]
+        for _ in range(k + 1):
+            stack = RangeStack(max(len(pts), 1))
+            keys: list = []        # members' -y, ascending == stack order
+            pos: list[int] = []    # members' positions in the node
+            steps: list[int] = []
+            lost: list = []
+            for i, carry in enumerate(carries):
+                j = bisect_right(keys, nys[i])
+                lost.append(pos[j:])
+                if j < len(keys):
+                    stack.pop(len(keys) - j)
+                    del keys[j:], pos[j:]
+                for e in carry:
+                    stack.push(sxs[e], pts[e])
+                    keys.append(nys[e])
+                    pos.append(e)
+                steps.append(stack.step)
+            layers.append((stack, steps))
+            carries = lost
 
     registries: list[dict] = [{} for _ in range(m)]
     for pid in by_x:
@@ -233,18 +220,15 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
         if t == 0:
             continue
         px = xs[pid]
-        topk: list[int] = []  # largest quadrant x's of higher strips, descending
+        # largest quadrant x's of higher strips, descending, x_floor-padded
+        top = [x_floor] * (k + 1)
         for idx in _prefix_nodes_desc(lo, hi, lc, rc, t):
             sxs = node_sxs[idx]
             e = bisect_left(sxs, px)
             if e:
-                epoch = node_epochs[idx][e - 1]
-                stacks = node_stacks[idx]
                 reg = registries[idx]
-                for lev in range(k + 1):
-                    j = k - lev
-                    cut = topk[j] if len(topk) > j else x_floor
-                    canons, elems = stacks[lev].suffix_at(epoch[lev], cut)
+                for lev, (stack, steps) in enumerate(node_layers[idx]):
+                    canons, elems = stack.suffix_at(steps[e - 1], top[k - lev])
                     assert not elems  # unbuffered stacks are block-exact
                     for cid in canons:
                         key = (lev, cid)
@@ -254,13 +238,13 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
                         else:
                             lst.append(pid)
                 tail = sxs[max(0, e - k - 1):e]
-                topk = sorted(topk + tail, reverse=True)[:k + 1]
+                top = sorted(top + tail, reverse=True)[:k + 1]
         # nothing registered for strips with no quadrant points
     parts = []
     for idx in range(m):
-        stacks = node_stacks[idx]
+        layers = node_layers[idx]
         for (lev, cid), regs in registries[idx].items():
-            parts.append((stacks[lev].canonical_payloads(cid), regs))
+            parts.append((layers[lev][0].canonical_payloads(cid), regs))
     return parts, []
 
 
@@ -465,7 +449,11 @@ def build_cover(ps: PointSet) -> BicliqueCover:
 
 
 def build_k_cover(ps: PointSet, k: int) -> BicliqueCover:
-    """Cover of the relaxed graph allowing up to k interior points."""
+    """Cover of the relaxed graph allowing up to k interior points.  k is an
+    int (not bool) or a numpy integer; anything else raises ValueError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    k = int(k)
     # sets below two points get the driver's error, as for the other builders
     if ps.n >= 2 and not 0 <= k <= ps.n - 2:
         raise ValueError(f"k must be in [0, {ps.n - 2}]")

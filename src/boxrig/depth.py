@@ -23,6 +23,8 @@ deepest point off the same table with two numpy max reductions.
 The slab searches (log_approx_max_depth, approx_mis) share one pre-order
 walk over x-median slabs; on a slab's median line the stabbed rectangles are
 y-intervals, read off one stack sweep of the slab's y order with no cover.
+The same sweep over the whole set gives log_approx_max_depth the exact
+global depth at its winner, which lies on its slab's line.
 
 Exact depth at a point (exact_depth_at) needs no overlay: it is the sum of
 k * l over the bicliques.  A rank-space view of the cover's sides (the x
@@ -569,28 +571,36 @@ def _stabbed(ranks: list[int], cut: int):
     return count, top
 
 
+def _line_depths(ranks: list[int], cut: int) -> list[int]:
+    """Depth on a slab's cut line at each y position of ranks, swept from
+    the stabbed y-intervals' corner counts."""
+    upper, _ = _stabbed(ranks, cut)
+    lower = _stabbed(ranks[::-1], cut)[0][::-1]
+    out, run = [], 0
+    for up, low in zip(upper, lower):
+        run += low
+        out.append(run)
+        run -= up
+    return out
+
+
 def log_approx_max_depth(ps: PointSet):
     """Divide and conquer on x-median lines.  Every candidate value is the
     exact depth of its point within the slab's own rectangle set, a lower
-    bound on the true depth; the reported value is the exact global depth at
-    the winning point.  On a slab's line the stabbed rectangles are
-    y-intervals, whose depth is swept from their corner counts."""
+    bound on the true depth.  The winner sits on its slab's cut line, so the
+    reported value, its exact global depth, is the whole set's depth along
+    that line at the winner's y; no cover is built."""
     if ps.n < 2:
         raise ValueError("need at least two points")
-    xs, ys, by_x = ps.xs, ps.ys, ps.by_x
-    best_val, best_xy = 0, None
+    best_val, best = 0, None
     for _, cut, ranks in _slabs(ps):
-        upper, _ = _stabbed(ranks, cut)
-        lower = _stabbed(ranks[::-1], cut)[0][::-1]
-        run = 0
-        for r, up, low in zip(ranks, upper, lower):
-            run += low
-            if run > best_val:
-                best_val, best_xy = run, (xs[by_x[cut]], ys[by_x[r]])
-            run -= up
-    assert best_xy is not None
-    point = (Fraction(best_xy[0]), Fraction(best_xy[1]))
-    return point, exact_depth_at(build_cover(ps), ps, point)
+        for r, d in zip(ranks, _line_depths(ranks, cut)):
+            if d > best_val:
+                best_val, best = d, (cut, r)
+    cut, r = best    # set: two points always span an empty rectangle
+    line = _line_depths([ps.rank_x[i] for i in ps.by_y], cut)
+    point = (Fraction(ps.xs[ps.by_x[cut]]), Fraction(ps.ys[ps.by_x[r]]))
+    return point, line[ps.rank_y[ps.by_x[r]]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from boxrig.cover import (ORIENT_DOM, Biclique, build_cover,
@@ -144,10 +145,44 @@ def test_k_cover_chain3(chain3):
     assert edge_set(cov) == {(0, 1), (1, 2), (0, 2)}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_k_cover_oracle_equivalence(k):
-    ps = small_uniform(200, 5)
+def mirrored(ps):
+    return validate([(-x, y) for x, y in ps.coords()])
+
+
+EXTREMAL = {"two-diagonals-24": two_diagonals(24),
+            "lower-bound-24": gen_lower_bound(24).ps}
+EXTREMAL.update({f"{name}-mirrored": mirrored(ps)
+                 for name, ps in list(EXTREMAL.items())})
+
+
+@pytest.mark.parametrize(
+    "ps,k",
+    [pytest.param(small_uniform(200, 5), k, id=str(k)) for k in (1, 2, 3)]
+    + [pytest.param(ps, k, id=f"{name}-{k}")
+       for name, ps in EXTREMAL.items() for k in (1, 2, 3)])
+def test_k_cover_oracle_equivalence(ps, k):
     assert_exact(build_k_cover(ps, k), ps, k=k)
+
+
+@pytest.mark.parametrize("ps", [small_uniform(90, 4), two_diagonals(16),
+                                gen_lower_bound(20).ps],
+                         ids=["uniform", "two-diagonals", "lower-bound"])
+def test_k_cover_zero_is_the_basic_cover(ps):
+    # one pipeline: k = 0 gives the basic cover's bicliques, in list order
+    assert build_k_cover(ps, 0).bicliques == build_cover_basic(ps).bicliques
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1", None])
+def test_k_cover_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        build_k_cover(small_uniform(12, 1), k)
+
+
+def test_k_cover_takes_numpy_integer_k():
+    ps = small_uniform(40, 2)
+    cov = build_k_cover(ps, np.int64(1))
+    assert cov.bicliques == build_k_cover(ps, 1).bicliques
+    assert cov.stats.variant == "k-level(k=1)"
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])

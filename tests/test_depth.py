@@ -508,9 +508,9 @@ def test_log_approx_two_diagonals():
     assert v >= dmax / (4 * math.log2(ps.n))
 
 
-def test_log_approx_builds_the_full_cover_once(monkeypatch):
-    # the slab lines need no cover; the exact depth at the winner builds the
-    # one cover of every point
+def test_log_approx_builds_no_cover(monkeypatch):
+    # the slab lines need no cover, and neither does the exact depth at the
+    # winner: it is the whole set's depth on the winner's line
     sizes = []
 
     def counting(ps, *args, **kwargs):
@@ -520,7 +520,7 @@ def test_log_approx_builds_the_full_cover_once(monkeypatch):
     monkeypatch.setattr(boxrig.depth, "build_cover", counting)
     ps = small_uniform(256, 7)
     pt, v = log_approx_max_depth(ps)
-    assert sizes == [256]
+    assert sizes == []
     assert v == exact_depth_at(build_cover(ps), ps, pt)
 
 
