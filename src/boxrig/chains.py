@@ -55,16 +55,16 @@ def maxima(ps: PointSet, kind: str) -> Chain:
 def maxima_bruteforce(ps: PointSet, kind: str) -> Chain:
     """O(n^2) definition-checking filter; test oracle for maxima()."""
     from .geom import anti_dominates, dominates
-    keep = []
-    for p in ps:
+    keep, pts = [], list(ps)
+    for p in pts:
         if kind == MAX_DOM:
-            bad = any(dominates(q, p) for q in ps if q.id != p.id)
+            bad = any(dominates(q, p) for q in pts if q.id != p.id)
         elif kind == MIN_DOM:
-            bad = any(dominates(p, q) for q in ps if q.id != p.id)
+            bad = any(dominates(p, q) for q in pts if q.id != p.id)
         elif kind == MAX_ANTI:
-            bad = any(anti_dominates(q, p) for q in ps if q.id != p.id)
+            bad = any(anti_dominates(q, p) for q in pts if q.id != p.id)
         else:
-            bad = any(anti_dominates(p, q) for q in ps if q.id != p.id)
+            bad = any(anti_dominates(p, q) for q in pts if q.id != p.id)
         if not bad:
             keep.append(p.id)
     keep.sort(key=lambda i: ps.xs[i])

@@ -503,9 +503,7 @@ def rect_families(cover: BicliqueCover, ps: PointSet):
     rectangles; asserts quadrant separation on the way out."""
     for b in cover.bicliques:
         separation_lines(b, ps)
-        left = [ps.points[i] for i in b.left]
-        right = [ps.points[i] for i in b.right]
-        yield left, right
+        yield [ps[i] for i in b.left], [ps[i] for i in b.right]
 
 
 @dataclass

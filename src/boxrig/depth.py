@@ -452,6 +452,8 @@ class DepthIndex:
         self.ps = ps
         if cover is None:
             cover = build_cover(ps)
+        elif cover.n != ps.n:
+            raise ValueError(f"cover has {cover.n} points, point set {ps.n}")
         self.cover = cover
         cells = _cover_cells(cover, ps, eps)
         self.cell_count = len(cells[4])

@@ -8,8 +8,8 @@ points with pairwise-distinct coordinates:
 
 Inputs are validated to be integer points in general position (all x
 distinct, all y distinct), which makes every predicate an exact integer
-comparison.
-Rectangles are closed sets throughout.
+comparison.  Rectangles are closed sets throughout.  A PointSet stores
+two coordinate columns; ``ps[i]`` builds a ``Point`` view on demand.
 """
 
 from __future__ import annotations
@@ -96,36 +96,36 @@ def rect_of(p: Point, q: Point) -> Rect:
 
 
 class PointSet:
-    """Validated planar point set in general position.
+    """Validated planar point set in general position, stored by columns.
 
-    Immutable after construction.  ``by_x``/``by_y`` are the permutations of
-    ids in increasing coordinate order; ``rank_x``/``rank_y`` their inverses.
+    Immutable after construction.  ``xs``/``ys`` are coordinate lists by
+    id, ``by_x``/``by_y`` the ids in coordinate order, ``rank_x``/``rank_y``
+    their inverses; ``ps[i]`` and iteration build ``Point`` views on demand.
     """
 
-    __slots__ = ("points", "xs", "ys", "by_x", "by_y", "rank_x", "rank_y")
+    __slots__ = ("xs", "ys", "by_x", "by_y", "rank_x", "rank_y")
 
-    def __init__(self, points: Sequence[Point], by_x: Sequence[int], by_y: Sequence[int]):
-        self.points = tuple(points)
-        self.xs = [p.x for p in self.points]
-        self.ys = [p.y for p in self.points]
+    def __init__(self, xs: list[int], ys: list[int], by_x: Sequence[int], by_y: Sequence[int]):
+        self.xs, self.ys = xs, ys
         self.by_x, self.rank_x = _with_inverse(by_x)
         self.by_y, self.rank_y = _with_inverse(by_y)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(Point, self.xs, self.ys, range(len(self.xs)))
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        i = range(len(self.xs))[i]
+        return Point(self.xs[i], self.ys[i], i)
 
     def coords(self) -> list[tuple[int, int]]:
-        return [(p.x, p.y) for p in self.points]
+        return list(zip(self.xs, self.ys))
 
 
 def _with_inverse(order: Sequence[int]) -> tuple[tuple, tuple]:
@@ -144,21 +144,24 @@ def _int_coord(v, i: int) -> int:
 
 
 def validate(coords: Iterable[tuple[int, int]]) -> PointSet:
-    """Build a PointSet, rejecting non-integer coordinates and ties.
+    """Build a PointSet's coordinate columns (no Point) from (x, y) pairs.
 
-    A coordinate must be an int (not bool) or a numpy integer; anything
-    else (floats, even 3.0, Fractions, bools, strings, None) raises
-    GeomError naming the point, never truncated.  Raises DuplicateX /
-    DuplicateY naming the first offending index pair in sorted order.
+    An entry that is not a pair, or a coordinate that is not an int (not
+    bool) or a numpy integer (floats, even 3.0, Fractions, bools, strings,
+    None), raises GeomError naming the point, never truncated.  Ties raise
+    DuplicateX / DuplicateY naming the first tied index pair in sorted order.
     """
-    pts = []
-    for i, (x, y) in enumerate(coords):
+    xs, ys = [], []
+    for i, c in enumerate(coords):
+        try:
+            x, y = c
+        except (TypeError, ValueError):
+            raise GeomError(f"point {i}: {c!r} is not an (x, y) pair") from None
         if type(x) is not int or type(y) is not int:
             x, y = _int_coord(x, i), _int_coord(y, i)
-        pts.append(Point(x, y, i))
-    by_x = _order([p.x for p in pts], DuplicateX)
-    by_y = _order([p.y for p in pts], DuplicateY)
-    return PointSet(pts, by_x, by_y)
+        xs.append(x)
+        ys.append(y)
+    return PointSet(xs, ys, _order(xs, DuplicateX), _order(ys, DuplicateY))
 
 
 def _order(vals: list[int], tie_error: type[GeomError]) -> np.ndarray:

@@ -82,7 +82,7 @@ def brute_rig(ps: PointSet) -> EdgeSet:
 
 def brute_rig_triple_loop(ps: PointSet) -> EdgeSet:
     """Independent O(n^3) recount with explicit loops; test cross-check only."""
-    pts = ps.points
+    pts = list(ps)
     n = len(pts)
     edges = set()
     for j in range(n):

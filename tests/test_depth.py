@@ -19,7 +19,7 @@ from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells,
                           log_approx_max_depth, lower_corners, query_depth,
                           select_levels, staircase_curves, upper_corners)
 from boxrig.geom import rect_of, validate
-from boxrig.lab import gen_lower_bound
+from boxrig.lab import gen_lower_bound, gen_uniform
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
                            brute_mis, brute_rig)
 from conftest import small_uniform, two_diagonals, uniform
@@ -417,6 +417,17 @@ def test_exact_depth_at_checks_the_point_set():
     assert [exact_depth_at(cov, twin, q) for q in qs] == first
     assert cov._side_ranks[0] is twin and cov._side_ranks[1] is not view
     assert first == brute_depth_many(ps, qs).tolist()
+
+
+def test_depth_index_checks_its_cover():
+    # a cover of another size would index the point columns out of step
+    big, small = gen_uniform(80, 2).ps, gen_uniform(40, 2).ps
+    for ps, other in ((big, small), (small, big)):
+        with pytest.raises(ValueError, match="cover has"):
+            DepthIndex(ps, 0.5, build_cover(other))
+    given, built = DepthIndex(big, 0.5, build_cover(big)), DepthIndex(big, 0.5)
+    assert [given.query(q) for q in big.coords()] == \
+        [built.query(q) for q in big.coords()]
 
 
 def test_exact_depth_at_answers_from_its_view(monkeypatch):

@@ -95,12 +95,43 @@ def test_validate_takes_only_integer_points():
                         ([(1, 2), (3, True)], 1),
                         ([(1, 2), (3, np.bool_(True))], 1),
                         ([(1, 2), ("12", 4)], 1),
-                        ([(None, 2), (3, 4)], 0)):
+                        ([(None, 2), (3, 4)], 0),
+                        # entries that are not (x, y) pairs
+                        ([(1, 2, 3)], 0),
+                        ([(1, 2), 5], 1),
+                        ([(1,)], 0),
+                        ([(1, 2), None], 1)):
         with pytest.raises(GeomError, match=f"point {bad}:"):
             validate(coords)
     ps = validate([(np.int64(3), np.int32(-4)), (1 << 70, 5)])
     assert ps.coords() == [(3, -4), (1 << 70, 5)]
     assert all(type(v) is int for xy in ps.coords() for v in xy)
+
+
+def test_point_views_are_built_from_the_columns():
+    ps = validate([(5, -1), (np.int64(-3), 8), (1 << 70, 2)])
+    n = ps.n
+    for i in range(n):
+        assert ps[i] == Point(ps.xs[i], ps.ys[i], i)
+    assert ps[-1] == Point(1 << 70, 2, n - 1) and ps[-n] == ps[0]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ps[i]
+    assert list(ps) == [ps[i] for i in range(n)]
+    assert ps.coords() == [(5, -1), (-3, 8), (1 << 70, 2)]
+    assert all(type(v) is int for xy in ps.coords() for v in xy)
+    assert not hasattr(ps, "points")
+
+
+def test_validate_builds_no_point(monkeypatch):
+    import boxrig.geom
+
+    def refuse(*args):
+        raise AssertionError("validate built a Point")
+
+    monkeypatch.setattr(boxrig.geom, "Point", refuse)
+    ps = validate([(i, (7 * i) % 1009) for i in range(1000)])
+    assert ps.n == 1000 and ps.coords()[999] == (999, (7 * 999) % 1009)
 
 
 coords_st = st.lists(

@@ -43,7 +43,7 @@ def test_k_rig_examples(chain3):
 
 def test_k_rig_direct_interior_recount():
     ps = small_uniform(12, seed=7)
-    pts = ps.points
+    pts = list(ps)
     expected = set()
     for i, j in itertools.combinations(range(12), 2):
         x1, x2 = sorted((pts[i].x, pts[j].x))
