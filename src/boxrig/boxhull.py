@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MAX_ANTI, MAX_DOM, MIN_ANTI, MIN_DOM, chain_ids
-from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
+from .geom import Coord, PointSet, Rect, _rect_ids, coord_array, dbl
 
 
 class NotInHull(ValueError):
@@ -194,7 +194,7 @@ def _consecutive_witness(ps, cx2, chain_ids, qx2, qy2):
     i = bisect_right(cx2, qx2) - 1
     for j in (i, i - 1, i + 1):
         if 0 <= j < len(chain_ids) - 1:
-            r = rect_of(ps[chain_ids[j]], ps[chain_ids[j + 1]])
+            r = _rect_ids(ps, chain_ids[j], chain_ids[j + 1])
             if _covers2(r, qx2, qy2):
                 return r
     return None
@@ -219,7 +219,7 @@ def witness_rect(ps: PointSet, h: BoxHull, q: tuple[Coord, Coord]) -> Rect:
         # the query is an input point; its consecutive x-neighbour always
         # supports an empty rectangle with it
         nb = by_x[lo + 1] if lo + 1 < ps.n else by_x[lo - 1]
-        return rect_of(ps[by_x[lo]], ps[nb])
+        return _rect_ids(ps, by_x[lo], nb)
     y_up, y_down = -(-qy2 // 2), qy2 // 2     # y >= qy, y <= qy
     # extreme point of each closed quadrant: lowest above q (p1 right, p2
     # left), highest below q (p3 left, p4 right); None when empty
@@ -229,7 +229,7 @@ def witness_rect(ps: PointSet, h: BoxHull, q: tuple[Coord, Coord]) -> Rect:
     def checked(a: int, b: int):
         if a == b:
             return None
-        r = rect_of(ps[a], ps[b])
+        r = _rect_ids(ps, a, b)
         return r if _covers2(r, qx2, qy2) and _is_empty(h, r) else None
 
     if None not in (p1, p2, p3, p4):
@@ -297,7 +297,7 @@ class Piece:
         return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
 
     def support_rect(self, ps: PointSet) -> Rect:
-        return rect_of(ps[self.support[0]], ps[self.support[1]])
+        return _rect_ids(ps, *self.support)
 
 
 @dataclass

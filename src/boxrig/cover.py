@@ -12,11 +12,15 @@ Three variants share this skeleton:
 
 * basic: strips are all subtrees of a y-tree with single-point leaves,
   unbuffered stacks (O(n log n) bicliques, weight O(n log^2 n));
-* compact: leaf strips hold 3*ceil(log2 n) points, stacks are buffered, leaf
-  strips are answered by direct scanning, and all scan/partial results merge
-  into one star biclique per query point (O(n) bicliques, same weight);
-  strips whose maxima chain never outgrows the stack buffer skip the stack
-  and answer by walking chain links;
+* compact: leaf strips hold 3*ceil(log2 n) points, and every scanned or
+  walked maximum merges into one star biclique per query point (O(n)
+  bicliques, same weight).  Both orientations run together in rank space,
+  in numpy passes over whole tree levels rather than a loop over points: a
+  query's own leaf is scanned through a padded window of the points before
+  it, each strip below it is a (query, strip) pair whose cut is a running
+  maximum over the deeper strips, and the strips' chain links are walked
+  as one frontier, one link per step.  Only a strip whose maxima chain
+  outgrows the stack buffer gets a buffered stack, queried per point;
 * k-level: k+1 stacked maxima layers per strip, built one layer at a time;
   an arriving point pops the suffix it dominates from every layer, and layer
   i's casualties arrive in layer i+1 at the same arrival, so layer
@@ -37,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import PointSet
 from .oracle import brute_k_rig, brute_rig
@@ -249,145 +254,270 @@ def _leveled_oriented(ps: PointSet, xs, k: int):
 
 
 # ---------------------------------------------------------------------------
-# compact pipeline (buffered stacks, strip floor, star merge)
+# compact pipeline (rank space, both orientations in one batched pass)
+
+_SCAN_ROWS = 8192   # leaf-scan rows per chunk: bounds the (rows x tau) matrices
 
 
-def _chain_links(ys):
-    """Maxima chain of an x-sorted y sequence, as links: for each arrival i
-    the element left under it (nearest earlier larger y, -1 if none) and the
-    chain size after it arrives.  The chain after arrival i is i, below[i],
-    below[below[i]], ... in decreasing x."""
-    below: list[int] = []
-    size: list[int] = []
-    sty = [float("inf")]  # sentinel, never popped
-    sti = [-1]
-    for i, y in enumerate(ys):
-        while sty[-1] < y:
-            sty.pop()
-            sti.pop()
-        below.append(sti[-1])
-        size.append(len(sty))
-        sty.append(y)
-        sti.append(i)
-    return below, size
+def _bfs_order(lc, rc):
+    """Node ids level by level, and every node's depth."""
+    order = [0]
+    depth = [0] * len(lc)
+    for idx in order:             # the list grows while it is walked
+        if lc[idx] != -1:
+            depth[lc[idx]] = depth[rc[idx]] = depth[idx] + 1
+            order += (lc[idx], rc[idx])
+    return order, depth
 
 
-def _compact_oriented(ps: PointSet, xs):
-    """Compact dominance-orientation cover: (canonical parts, stars)."""
+class _Strips(NamedTuple):
+    """Every y-tree node's members as entries of one array, nodes level by
+    level.  A node holds two segments, one per orientation, each ascending
+    in lane; ``down`` maps an internal node's entry to the entry of the
+    same lane in the child holding it (-1 in leaves)."""
+
+    lanes: np.ndarray
+    node: np.ndarray
+    seg: np.ndarray       # first entry of each entry's segment
+    left: np.ndarray      # entry of an internal node whose lane goes left
+    right: np.ndarray
+    ahead: np.ndarray     # left entries ahead of each entry in its node
+    down: np.ndarray
+    off: np.ndarray       # first entry of each node
+    count: np.ndarray     # entries of each node
+    depth: np.ndarray     # depth of each node
+    bounds: np.ndarray    # entries [bounds[d], bounds[d + 1]) lie at depth d
+
+
+def _strips(unit, lo, lc, rc) -> _Strips:
+    """Lay out the tree over lanes 0..len(unit)-1; the upper half of the
+    lanes is the second orientation, in its own segment of every node."""
+    order, depth = _bfs_order(lc, rc)
+    node_lanes = _distribute(np.arange(len(unit)), unit, lo, lc, rc)
+    lanes = np.concatenate([node_lanes[u] for u in order])
+    count = np.array([len(ids) for ids in node_lanes])
+    off = np.empty(len(lo), dtype=np.int64)
+    off[order] = np.cumsum(count[order]) - count[order]
+    node = np.repeat(order, count[order])
+    base = off[node]
+    seg = base + (lanes >= len(unit) // 2) * (count // 2)[node]
+    lc, rc = np.asarray(lc), np.asarray(rc)
+    inner = lc[node] != -1
+    left = inner & (unit[lanes] < np.asarray(lo)[rc[node]])
+    right = inner & ~left
+    ahead = np.cumsum(left) - left
+    ahead -= ahead[base]
+    down = np.where(left, off[lc[node]] + ahead,
+                    off[rc[node]] + np.arange(len(lanes)) - base - ahead)
+    down[~inner] = -1
+    depth = np.asarray(depth)
+    bounds = np.searchsorted(depth[node], np.arange(depth.max() + 2))
+    return _Strips(lanes, node, seg, left, right, ahead, down, off, count,
+                   depth, bounds)
+
+
+def _query_pairs(st: _Strips, lc):
+    """The prefix decomposition as pairs: a member of a node's right child
+    queries its left child, whose members ahead of it in x are a prefix of
+    that strip.  Returns the querying entries and, per query, the entry of
+    the last strip member ahead of it."""
+    q = np.flatnonzero(st.right & (st.ahead > st.ahead[st.seg]))
+    return q, st.off[np.asarray(lc)[st.node[q]]] + st.ahead[q] - 1
+
+
+def _leaf_scan(st: _Strips, yr, tau, below, cut):
+    """Each lane's lower-left maxima inside its own leaf, off a (lanes x
+    tau) window of the leaf members ahead of it, nearest first.  Fills the
+    leaf links and each lane's cut (its nearest maximum); returns the
+    (query lane, member lane) pairs packed as query * 2n + member."""
+    leaf = np.flatnonzero(st.down == -1)   # leaves' segments, contiguous
+    lanes = st.lanes[leaf]
+    pos = leaf - st.seg[leaf]
+    ys = yr[lanes].astype(np.int32)
+    w = tau - 1                            # a leaf holds at most tau lanes
+    ks = np.arange(w)
+    window = sliding_window_view(np.r_[np.full(w, -1, np.int32), ys], w)[:, ::-1]
+    out = []
+    for a in range(0, len(leaf), _SCAN_ROWS):
+        b = min(a + _SCAN_ROWS, len(leaf))
+        ok = ks < pos[a:b, None]
+        qy = ys[a:b, None]
+        higher = ok & (window[a:b] > qy)
+        k = higher.argmax(1)
+        below[leaf[a:b]] = np.where(higher[np.arange(b - a), k], leaf[a:b] - 1 - k, -1)
+        lower = np.where(ok & (window[a:b] < qy), window[a:b], -1)
+        prev = np.full_like(lower, -1)
+        np.maximum.accumulate(lower[:, :-1], axis=1, out=prev[:, 1:])
+        rows, cols = np.divmod(np.flatnonzero(lower > prev), w)
+        rows += a
+        got = lanes[rows - 1 - cols]
+        out.append(lanes[rows] * len(cut) + got)
+        first = np.flatnonzero(np.diff(rows, prepend=-1))   # nearest taken
+        cut[lanes[rows[first]]] = got[first]
+    return out
+
+
+def _inner_links(st: _Strips, below):
+    """Chain links of internal nodes from their children's, deepest level
+    first.  Right lanes are higher than left ones, so a right lane keeps
+    its own link and a left lane takes the nearer of its own link and the
+    last right lane ahead of it."""
+    entry = np.arange(len(st.lanes))
+    last_right = np.maximum.accumulate(np.where(st.right, entry, -1))
+    last_right = np.r_[-1, last_right[:-1]]
+    last_right[(last_right < st.seg) | ~st.left] = -1
+    inner = st.down >= 0
+    up = np.full(len(entry) + 1, -1)       # up[-1] lifts link -1 to -1
+    up[st.down[inner]] = entry[inner]
+    for d in range(len(st.bounds) - 3, -1, -1):
+        a, b = st.bounds[d], st.bounds[d + 1]
+        got = np.maximum(up[below[st.down[a:b]]], last_right[a:b])
+        below[a:b] = np.where(inner[a:b], got, below[a:b])
+
+
+def _chain_sizes(below, entries):
+    """Size of the chain after each arrival (its depth in the link forest),
+    by pointer jumping over the given entries."""
+    size = np.ones(len(below), dtype=np.int64)
+    nxt = below.copy()
+    act = entries[nxt[entries] >= 0]
+    while act.size:
+        j = nxt[act]
+        size[act] += size[j]
+        nxt[act] = nxt[j]
+        act = act[nxt[act] >= 0]
+    return size
+
+
+def _strip_stacks(st: _Strips, lc, below, pid):
+    """Buffered stacks, keyed by segment start, for the strips (internal
+    left children) whose maxima chain outgrows the stack buffer: (stack,
+    epoch after each arrival, registry).  Every other strip answers by
+    walking its links."""
+    lc = np.asarray(lc)
+    strip = np.zeros(len(lc), dtype=bool)
+    strip[lc[lc != -1]] = True
+    strip &= lc != -1
+    size = _chain_sizes(below, np.flatnonzero(strip[st.node]))
+    starts = np.flatnonzero(np.diff(st.seg, prepend=-1))
+    longest = np.zeros(len(st.lanes), dtype=np.int64)
+    longest[starts] = np.maximum.reduceat(size, starts)
+    stacks = {}
+    for u in np.flatnonzero(strip).tolist():
+        half = int(st.count[u]) // 2
+        limit = RangeStack.buffer_limit(half)
+        for a in (int(st.off[u]), int(st.off[u]) + half):
+            if longest[a] <= limit:
+                continue
+            sz = size[a:a + half].tolist()
+            # each arrival pops the chain suffix it dominates
+            pops = [p + 1 - s for p, s in zip([0] + sz[:-1], sz)]
+            lanes = st.lanes[a:a + half]
+            stack = RangeStack(half, buffered=True)
+            epochs = stack.run_monotone_script(lanes.tolist(), pid[lanes].tolist(), pops)
+            stacks[a] = (stack, epochs, {})
+    return stacks
+
+
+def _compact(ps: PointSet):
+    """Both orientations of the compact cover: [(orientation, (canonical
+    parts, stars))].
+
+    Lane k < n is the point of x rank k, lane n + k the point of x rank
+    n - 1 - k (the anti orientation runs on reflected x).  Lane order is
+    pipeline x order within an orientation, so cuts are lanes, exact at any
+    coordinate size, and stacks are keyed by lane."""
     n = ps.n
-    ys = ps.ys
-    rank_y = ps.rank_y
-    by_x = list(ps.by_x) if xs is ps.xs else list(reversed(ps.by_x))
-    # below every x key and every y, for any coordinate size
-    x_floor, y_floor = xs[by_x[0]] - 1, ys[ps.by_y[0]] - 1
-    tau = 3 * max(1, (n - 1).bit_length())
-    leaves = (n + tau - 1) // tau
-    lo, hi, lc, rc = _tree_nodes(leaves)
-    node_ids = _distribute(by_x, np.asarray(rank_y) // tau, lo, lc, rc)
-    x_arr = np.asarray(xs)
-    y_arr = np.asarray(ys)
-    m = len(lo)
-    node_pts = [None] * m
-    node_sxs = [None] * m
-    node_epochs = [None] * m
-    node_stacks = [None] * m
-    node_below = [None] * m
-    node_ys = [None] * m
-    leaf_node = [0] * leaves
-    for idx in range(m):
-        ids = node_ids[idx]
-        pts = node_pts[idx] = ids.tolist()
-        sxs = node_sxs[idx] = x_arr[ids].tolist()
-        lys = y_arr[ids].tolist()
-        node_below[idx], size = _chain_links(lys)
-        if lc[idx] == -1:
-            leaf_node[lo[idx]] = idx
-            node_ys[idx] = lys
-            continue
-        if max(size, default=0) <= RangeStack.buffer_limit(len(pts)):
-            # a stack would never flush a block, so every suffix answer
-            # would be a buffer walk, i.e. a walk of the links
-            continue
-        stack = RangeStack(len(pts), buffered=True)
-        # each arrival pops the chain suffix it dominates (y below its own)
-        pops = [p + 1 - s for p, s in zip([0] + size[:-1], size)]
-        node_epochs[idx] = stack.run_monotone_script(sxs, pts, pops)
-        node_stacks[idx] = stack
+    by_x = np.asarray(ps.by_x, dtype=np.int64)
+    pid = np.concatenate([by_x, by_x[::-1]])        # point of each lane
+    pairs, parts = _compact_pairs(ps, pid)
+    # one star per query lane, members ascending in lane (pipeline x)
+    sq, sm = np.divmod(pairs, 2 * n)
+    first = np.flatnonzero(np.diff(sq, prepend=-1))
+    ids = pid.astype(object)            # one int per lane, shared by stars
+    members = ids[sm].tolist()
+    bounds = first.tolist() + [len(sm)]
+    heads = sq[first]
+    split = int(np.searchsorted(heads, n))
+    stars = [(p, members[a:b]) for p, a, b in
+             zip(ids[heads].tolist(), bounds, bounds[1:])]
+    return [(ORIENT_DOM, (parts[0], stars[:split])),
+            (ORIENT_ANTI, (parts[1], stars[split:]))]
 
-    registries: list[dict] = [{} for _ in range(m)]
-    stars: list[tuple[int, list[int]]] = []
-    prefix_cache: dict[int, list[int]] = {}
-    for pid in by_x:
-        t = rank_y[pid]
-        px = xs[pid]
-        py = ys[pid]
-        f, within = divmod(t, tau)
-        r = x_floor
-        star: list[int] = []
-        if within:
-            # top strip is cut by the query; answer it by scanning
-            idx = leaf_node[f]
-            ids_ = node_pts[idx]
-            lys = node_ys[idx]
-            ymax = y_floor
-            got: list[int] = []
-            for i2 in range(bisect_left(node_sxs[idx], px) - 1, -1, -1):
-                y2 = lys[i2]
-                if ymax < y2 < py:
-                    got.append(ids_[i2])
-                    ymax = y2
-            if got:
-                r = xs[got[0]]
-                got.reverse()
-                star.extend(got)
-        if f:
-            nodes = prefix_cache.get(f)
-            if nodes is None:
-                nodes = _prefix_nodes_desc(lo, hi, lc, rc, f)
-                prefix_cache[f] = nodes
-            for idx in nodes:
-                sxs = node_sxs[idx]
-                e = bisect_left(sxs, px)
-                if e == 0:
-                    continue
-                last = sxs[e - 1]
-                if last <= r:
-                    continue  # the whole strip prefix is shadowed
-                stack = node_stacks[idx]
-                if stack is None:
-                    # floor-size strip or buffer-only stack: walk the chain
-                    ids_ = node_pts[idx]
-                    below = node_below[idx]
-                    got = [ids_[e - 1]]
-                    j = below[e - 1]
-                    while j >= 0 and sxs[j] > r:
-                        got.append(ids_[j])
-                        j = below[j]
-                    got.reverse()
-                    star.extend(got)
-                else:
-                    canons, elems = stack.suffix_at(node_epochs[idx][e - 1], r)
-                    if canons:
-                        reg = registries[idx]
-                        for cid in canons:
-                            lst = reg.get(cid)
-                            if lst is None:
-                                reg[cid] = [pid]
-                            else:
-                                lst.append(pid)
-                    for _, q in elems:
-                        star.append(q)
-                r = last
-        if star:
-            stars.append((pid, star))
-    parts = []
-    for idx in range(m):
-        reg = registries[idx]
-        if reg:
-            stack = node_stacks[idx]
-            for cid, regs in reg.items():
-                parts.append((stack.canonical_payloads(cid), regs))
-    return parts, stars
+
+def _compact_pairs(ps: PointSet, pid):
+    """The compact pipeline up to its stars: every (query lane, member
+    lane) star pair packed as query * 2n + member and sorted, and the
+    canonical parts of each orientation's stack-backed strips.  The
+    per-entry arrays live only here, so they are freed before the stars
+    become Python lists."""
+    n = ps.n
+    tau = 3 * max(1, (n - 1).bit_length())
+    lo, hi, lc, rc = _tree_nodes((n + tau - 1) // tau)
+    yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
+    st = _strips(yr // tau, lo, lc, rc)
+    lanes = st.lanes
+    below = np.empty(len(lanes), dtype=np.int64)    # nearest earlier higher
+    leaf_cut = np.full(2 * n, -1, dtype=np.int64)   # -1: below every lane
+    star = _leaf_scan(st, yr, tau, below, leaf_cut)   # packed star pairs
+    _inner_links(st, below)
+    stacks = _strip_stacks(st, lc, below, pid)
+
+    # each query's cut before a strip: the running maximum, deepest strip
+    # first, of the last lane of every deeper strip, seeded by its leaf
+    q_ent, s_ent = _query_pairs(st, lc)
+    q = lanes[q_ent]
+    last = lanes[s_ent]
+    levels = len(st.bounds) - 2
+    row = levels - st.depth[st.node[q_ent]]
+    cuts = np.full((levels + 1, 2 * n), -1, dtype=np.int64)
+    cuts[0] = leaf_cut
+    cuts[row, q] = last
+    np.maximum.accumulate(cuts, axis=0, out=cuts)
+    r = cuts[row - 1, q]
+    live = last > r
+    stacked = np.zeros(len(lanes), dtype=bool)
+    stacked[list(stacks)] = True
+    stacked = stacked[st.seg[s_ent]]
+
+    # link walks as one frontier, one link per step; each stops at its cut
+    walk = live & ~stacked
+    wq, wj, wr = q[walk], s_ent[walk], r[walk]
+    lane_at = np.append(lanes, -1)      # link -1 reads -1, under every cut
+    while wq.size:
+        star.append(wq * (2 * n) + lanes[wj])
+        wj = below[wj]
+        keep = lane_at[wj] > wr
+        wq, wj, wr = wq[keep], wj[keep], wr[keep]
+
+    # stack-backed strips, queried in x order so registries fill in order
+    sel = np.flatnonzero(live & stacked)
+    sel = sel[np.argsort(q[sel], kind="stable")]
+    held = []                           # buffered answers, packed
+    for qq, s, a, rr in zip(q[sel].tolist(), s_ent[sel].tolist(),
+                            st.seg[s_ent[sel]].tolist(), r[sel].tolist()):
+        stack, epochs, reg = stacks[a]
+        canons, elems = stack.suffix_at(epochs[s - a], rr)
+        if canons:
+            p = int(pid[qq])
+            for cid in canons:
+                reg.setdefault(cid, []).append(p)
+        held += [qq * (2 * n) + key for key, _ in elems]
+    star.append(np.array(held, dtype=np.int64))
+
+    # the pairs are distinct, so sorting them packed orders them by query,
+    # then by member
+    pairs = np.concatenate(star)
+    pairs.sort()
+    parts = [[], []]
+    for o in (0, 1):
+        for u in range(len(lo)):
+            a = int(st.off[u]) + o * (int(st.count[u]) // 2)
+            if a in stacks:
+                stack, _, reg = stacks[a]
+                for cid, regs in reg.items():
+                    parts[o].append((stack.canonical_payloads(cid), regs))
+    return pairs, parts
 
 
 # ---------------------------------------------------------------------------
@@ -423,29 +553,31 @@ def _reflected(xs):
     return [-x for x in xs]
 
 
-def _build(ps: PointSet, variant: str, oriented, *args) -> BicliqueCover:
-    """Run one pipeline on both orientations, timed, collector paused."""
+def _leveled(ps: PointSet, k: int):
+    return [(ORIENT_DOM, _leveled_oriented(ps, ps.xs, k)),
+            (ORIENT_ANTI, _leveled_oriented(ps, _reflected(ps.xs), k))]
+
+
+def _build(ps: PointSet, variant: str, pipeline, *args) -> BicliqueCover:
+    """Run one pipeline (both orientations), timed, collector paused."""
     if ps.n < 2:
         raise ValueError("need at least two points")
     t0 = time.perf_counter()
     with _gc_paused():
-        dom = oriented(ps, ps.xs, *args)
-        anti = oriented(ps, _reflected(ps.xs), *args)
-        return _assemble(ps, [(ORIENT_DOM, dom), (ORIENT_ANTI, anti)],
-                         variant, t0)
+        return _assemble(ps, pipeline(ps, *args), variant, t0)
 
 
 def build_cover_basic(ps: PointSet) -> BicliqueCover:
     """O(n log n) bicliques of total weight O(n log^2 n)."""
-    return _build(ps, "basic", _leveled_oriented, 0)
+    return _build(ps, "basic", _leveled, 0)
 
 
 def build_cover(ps: PointSet) -> BicliqueCover:
     """O(n) bicliques of total weight O(n log^2 n).  Small instances fall
     back to the basic machinery (identical edges, bounds vacuous there)."""
     if ps.n < COMPACT_MIN_N:
-        return _build(ps, "compact", _leveled_oriented, 0)
-    return _build(ps, "compact", _compact_oriented)
+        return _build(ps, "compact", _leveled, 0)
+    return _build(ps, "compact", _compact)
 
 
 def build_k_cover(ps: PointSet, k: int) -> BicliqueCover:
@@ -457,7 +589,7 @@ def build_k_cover(ps: PointSet, k: int) -> BicliqueCover:
     # sets below two points get the driver's error, as for the other builders
     if ps.n >= 2 and not 0 <= k <= ps.n - 2:
         raise ValueError(f"k must be in [0, {ps.n - 2}]")
-    return _build(ps, f"k-level(k={k})", _leveled_oriented, k)
+    return _build(ps, f"k-level(k={k})", _leveled, k)
 
 
 # ---------------------------------------------------------------------------

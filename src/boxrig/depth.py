@@ -46,7 +46,7 @@ from itertools import chain
 import numpy as np
 
 from .cover import ORIENT_DOM, BicliqueCover, build_cover
-from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
+from .geom import Coord, PointSet, Rect, _rect_ids, coord_array, dbl
 
 
 class EpsOutOfRange(ValueError):
@@ -625,6 +625,6 @@ def approx_mis(ps: PointSet) -> list[Rect]:
         for i, j in enumerate(_stabbed(ranks, cut)[1]):
             if j > last:
                 left, right = sorted((ranks[i], ranks[j]))
-                chosen.append(rect_of(ps[ps.by_x[left]], ps[ps.by_x[right]]))
+                chosen.append(_rect_ids(ps, ps.by_x[left], ps.by_x[right]))
                 last = i
     return max(levels.values(), key=len)

@@ -88,11 +88,19 @@ def anti_dominates(p: Point, q: Point) -> bool:
 
 def rect_of(p: Point, q: Point) -> Rect:
     """Closed bounding rectangle of {p, q}, with p and q as antipodal corners."""
-    if p.id == q.id:
-        raise GeomError(f"rect_of needs two distinct points, got id {p.id} twice")
-    lo = (min(p.x, q.x), min(p.y, q.y))
-    hi = (max(p.x, q.x), max(p.y, q.y))
-    return Rect(lo=lo, hi=hi, support=(p.id, q.id))
+    return _rect(p.x, p.y, p.id, q.x, q.y, q.id)
+
+
+def _rect_ids(ps: PointSet, i: int, j: int) -> Rect:
+    """rect_of(ps[i], ps[j]) off the coordinate columns, with no Point."""
+    return _rect(ps.xs[i], ps.ys[i], i, ps.xs[j], ps.ys[j], j)
+
+
+def _rect(px: int, py: int, i: int, qx: int, qy: int, j: int) -> Rect:
+    if i == j:
+        raise GeomError(f"rect_of needs two distinct points, got id {i} twice")
+    return Rect(lo=(min(px, qx), min(py, qy)), hi=(max(px, qx), max(py, qy)),
+                support=(i, j))
 
 
 class PointSet:

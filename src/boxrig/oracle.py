@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import Coord, PointSet, Rect, coord_array, dbl, rect_of
+from .geom import Coord, PointSet, Rect, _rect_ids, coord_array, dbl
 
 
 class InstanceTooLarge(ValueError):
@@ -105,7 +105,7 @@ def rects_of(ps: PointSet, edges: EdgeSet | None = None) -> list[Rect]:
     """Materialised rectangle family, one Rect per graph edge."""
     if edges is None:
         edges = brute_rig(ps)
-    return [rect_of(ps[i], ps[j]) for i, j in sorted(edges.edges)]
+    return [_rect_ids(ps, i, j) for i, j in sorted(edges.edges)]
 
 
 def _rect_arrays(ps: PointSet, edges: EdgeSet | None = None):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 from collections import Counter
 
@@ -64,6 +65,49 @@ def test_covers_exact_beyond_int64(n, dx, dy):
     assert_exact(build_cover(ps), ps)
     assert_exact(build_cover_basic(ps), ps)
     assert_exact(build_k_cover(ps, 2), ps, k=2)
+
+
+@pytest.mark.parametrize("shift", [1 << 70, -(1 << 70)], ids=["+2^70", "-2^70"])
+@pytest.mark.parametrize("make", [lambda: two_diagonals(64),
+                                  lambda: gen_lower_bound(128).ps],
+                         ids=["two-diagonals-64", "lower-bound-128"])
+def test_stack_backed_strips_exact_beyond_int64(make, shift):
+    # these sets give the compact cover stack-backed strips, whose suffix
+    # queries cut at the strip maxima already taken
+    ps = make()
+    want = build_cover(ps).bicliques
+    for dx, dy in [(shift, 0), (0, shift), (shift, -shift)]:
+        moved = validate([(x + dx, y + dy) for x, y in ps.coords()])
+        cov = build_cover(moved)
+        assert cov.stats.variant == "compact"
+        assert cov.bicliques == want
+        assert_exact(cov, moved)
+
+
+# sha256 of repr(build_cover(ps).bicliques), taken before the compact
+# cover's strip walks were batched in numpy
+PINNED_COVERS = {
+    "uniform-1024": ("031fca58f379f8b86366e57a5dc485bb"
+                     "ffe45ff092158c6d29e4fd6a0e8bb6ef"),
+    "uniform-4096": ("407bc7c829803f9ffa415b1eb6e2a724"
+                     "5a31585fb36f57c18795f90158cfa153"),
+    "two-diagonals-1024": ("db46f6fe8ca44c5ad22af2a5084c06f9"
+                           "ad93368c437ccd4acdccc535bad42024"),
+    "lower-bound-512": ("bbb004f206099c2d5ad8022ea48a01b8"
+                        "c906058290b870029c9d5319a4a21657"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COVERS))
+def test_compact_cover_output_pinned(name):
+    family, size = name.rsplit("-", 1)
+    make = {"uniform": lambda m: uniform(m, 0), "two-diagonals": two_diagonals,
+            "lower-bound": lambda m: gen_lower_bound(m).ps}[family]
+    bicliques = build_cover(make(int(size))).bicliques
+    # numpy integers can repr like ints, so the hash alone would miss them
+    assert all(type(i) is int for b in bicliques for i in b.left + b.right)
+    digest = hashlib.sha256(repr(bicliques).encode()).hexdigest()
+    assert digest == PINNED_COVERS[name]
 
 
 def test_builds_leave_no_cyclic_garbage():
