@@ -8,10 +8,14 @@ O(log n) y-strips, pulls the surviving maxima suffix of each strip out of
 the strip's stack history, and registers itself on every returned canonical
 set.  One biclique per canonical set with registrants.
 
-Three variants share this skeleton:
+Three variants share this skeleton, and all three run both orientations
+in one rank-space pass over the same lane layout (_strips):
 
-* basic: strips are all subtrees of a y-tree with single-point leaves,
-  unbuffered stacks (O(n log n) bicliques, weight O(n log^2 n));
+* basic: strips are the subtrees of a y-tree with single-point leaves,
+  unbuffered stacks (O(n log n) bicliques, weight O(n log^2 n)).  A query
+  only ever reads left children, so only those build stacks; the (query,
+  strip) pairs and their cuts come out of numpy passes, and only the stack
+  walks and registrations run per pair;
 * compact: leaf strips hold 3*ceil(log2 n) points, and every scanned or
   walked maximum merges into one star biclique per query point (O(n)
   bicliques, same weight).  Both orientations run together in rank space,
@@ -24,10 +28,12 @@ Three variants share this skeleton:
 * k-level: k+1 stacked maxima layers per strip, built one layer at a time;
   an arriving point pops the suffix it dominates from every layer, and layer
   i's casualties arrive in layer i+1 at the same arrival, so layer
-  membership counts within-strip blockers exactly (basic is k = 0).
+  membership counts within-strip blockers exactly (basic is k = 0).  A
+  query's cut for layer i is the (k + 1 - i)-th highest x among its
+  quadrant points in the deeper strips.
 
-The anti-dominance orientation reuses the dominance pipeline on x-reflected
-coordinates.
+The anti-dominance orientation runs the dominance pipeline on x-reflected
+coordinates: lane n + i holds the point of x rank n - 1 - i.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -132,27 +139,6 @@ def _tree_nodes(units: int):
     return lo, hi, lc, rc
 
 
-def _prefix_nodes_desc(lo, hi, lc, rc, f: int) -> list[int]:
-    """Maximal nodes covering units [0, f), highest units first.  Only one
-    node per level is cut by f: descend through those, collecting the left
-    children they cover whole, which come after everything to their right."""
-    nodes: list[int] = []
-    idx = 0
-    while f > 0:
-        if hi[idx] <= f:
-            nodes.append(idx)
-            break
-        if lo[idx] >= f:
-            break
-        if hi[lc[idx]] <= f:
-            nodes.append(lc[idx])
-            idx = rc[idx]
-        else:
-            idx = lc[idx]
-    nodes.reverse()
-    return nodes
-
-
 def _distribute(by_x, rank_unit, lo, lc, rc):
     """Split the x-sorted ids down the tree (stable, so every node's ids
     stay x-sorted).  Numpy id arrays with one mask per internal node: the
@@ -169,94 +155,6 @@ def _distribute(by_x, rank_unit, lo, lc, rc):
         node_ids[l] = ids[left]
         node_ids[r] = ids[~left]
     return node_ids
-
-
-# ---------------------------------------------------------------------------
-# leveled pipeline (basic cover and k-level cover)
-
-
-def _leveled_oriented(ps: PointSet, xs, k: int):
-    """Dominance-orientation cover over coordinates xs (negate for the anti
-    orientation): (parts, []), parts being the (left ids, right ids) pairs
-    that cover exactly the pairs with at most k blockers.
-
-    Each y-tree node is built one layer at a time.  At arrival i a layer
-    pops the staircase suffix the arriving point dominates, then pushes its
-    carry: [i] on layer 0, on layer j + 1 what layer j lost at arrival i."""
-    n = ps.n
-    ys = ps.ys
-    rank_y = ps.rank_y
-    by_x = list(ps.by_x) if xs is ps.xs else list(reversed(ps.by_x))
-    x_floor = xs[by_x[0]] - 1    # below every key, for any coordinate size
-    lo, hi, lc, rc = _tree_nodes(n)
-    node_ids = _distribute(by_x, rank_y, lo, lc, rc)
-    m = len(lo)
-    node_sxs = [None] * m
-    node_layers = [None] * m     # per layer: (stack, step after each arrival)
-    for idx in range(m):
-        pts = node_ids[idx].tolist()
-        sxs = node_sxs[idx] = [xs[pid] for pid in pts]
-        nys = [-ys[pid] for pid in pts]
-        layers = node_layers[idx] = []
-        carries = [[i] for i in range(len(pts))]
-        for _ in range(k + 1):
-            stack = RangeStack(max(len(pts), 1))
-            keys: list = []        # members' -y, ascending == stack order
-            pos: list[int] = []    # members' positions in the node
-            steps: list[int] = []
-            lost: list = []
-            for i, carry in enumerate(carries):
-                j = bisect_right(keys, nys[i])
-                lost.append(pos[j:])
-                if j < len(keys):
-                    stack.pop(len(keys) - j)
-                    del keys[j:], pos[j:]
-                for e in carry:
-                    stack.push(sxs[e], pts[e])
-                    keys.append(nys[e])
-                    pos.append(e)
-                steps.append(stack.step)
-            layers.append((stack, steps))
-            carries = lost
-
-    registries: list[dict] = [{} for _ in range(m)]
-    for pid in by_x:
-        t = rank_y[pid]
-        if t == 0:
-            continue
-        px = xs[pid]
-        # largest quadrant x's of higher strips, descending, x_floor-padded
-        top = [x_floor] * (k + 1)
-        for idx in _prefix_nodes_desc(lo, hi, lc, rc, t):
-            sxs = node_sxs[idx]
-            e = bisect_left(sxs, px)
-            if e:
-                reg = registries[idx]
-                for lev, (stack, steps) in enumerate(node_layers[idx]):
-                    canons, elems = stack.suffix_at(steps[e - 1], top[k - lev])
-                    assert not elems  # unbuffered stacks are block-exact
-                    for cid in canons:
-                        key = (lev, cid)
-                        lst = reg.get(key)
-                        if lst is None:
-                            reg[key] = [pid]
-                        else:
-                            lst.append(pid)
-                tail = sxs[max(0, e - k - 1):e]
-                top = sorted(top + tail, reverse=True)[:k + 1]
-        # nothing registered for strips with no quadrant points
-    parts = []
-    for idx in range(m):
-        layers = node_layers[idx]
-        for (lev, cid), regs in registries[idx].items():
-            parts.append((layers[lev][0].canonical_payloads(cid), regs))
-    return parts, []
-
-
-# ---------------------------------------------------------------------------
-# compact pipeline (rank space, both orientations in one batched pass)
-
-_SCAN_ROWS = 8192   # leaf-scan rows per chunk: bounds the (rows x tau) matrices
 
 
 def _bfs_order(lc, rc):
@@ -323,6 +221,169 @@ def _query_pairs(st: _Strips, lc):
     the last strip member ahead of it."""
     q = np.flatnonzero(st.right & (st.ahead > st.ahead[st.seg]))
     return q, st.off[np.asarray(lc)[st.node[q]]] + st.ahead[q] - 1
+
+
+# ---------------------------------------------------------------------------
+# leveled pipeline (basic cover and k-level cover)
+
+
+def _layers(sxs: list, nys: list, pts: list, k: int, floor):
+    """The k + 1 maxima layers of one strip, built one layer at a time: at
+    arrival i a layer pops the staircase suffix the arriving point
+    dominates, then pushes its carry: i itself on layer 0, on layer j + 1
+    what layer j lost at arrival i.  Per layer: (stack, step and top key
+    after each arrival, floor while the layer is empty); layers that would
+    stay empty are left out."""
+    stack = RangeStack(len(pts))
+    keys: list = []        # members' -y, ascending == stack order
+    pos: list[int] = []    # members' positions in the strip (k > 0 only)
+    steps: list[int] = []
+    carries: list = []     # what each arrival pops, for the next layer
+    for i in range(len(pts)):
+        j = bisect_right(keys, nys[i])
+        popped = len(keys) - j
+        if popped:
+            del keys[j:]
+        if k:
+            carries.append(pos[j:])
+            del pos[j:]
+            pos.append(i)
+        steps.append(stack.replace_top(popped, sxs[i], pts[i]))
+        keys.append(nys[i])
+    layers = [(stack, steps, sxs)]      # layer 0's top is the arrival itself
+    for deeper in range(k - 1, -1, -1):
+        if not any(carries):
+            break
+        stack = RangeStack(len(pts))
+        keys, pos, steps = [], [], []
+        tops: list = []
+        lost: list = []
+        step, top = 0, floor
+        for i, carry in enumerate(carries):
+            if not carry and (not keys or keys[-1] <= nys[i]):
+                # an idle arrival: nothing to pop, nothing to push
+                if deeper:
+                    lost.append(())
+                steps.append(step)
+                tops.append(top)
+                continue
+            j = bisect_right(keys, nys[i])
+            if deeper:
+                lost.append(pos[j:])
+            popped = len(keys) - j
+            if popped:
+                del keys[j:], pos[j:]
+            if carry:
+                # the pops and the first push are one recorded arrival
+                step = stack.replace_top(popped, sxs[carry[0]], pts[carry[0]])
+                for e in carry[1:]:
+                    step = stack.push(sxs[e], pts[e])
+                keys += [nys[e] for e in carry]
+                pos += carry
+            else:
+                step = stack.pop(popped)
+            top = sxs[pos[-1]] if pos else floor
+            steps.append(step)
+            tops.append(top)
+        layers.append((stack, steps, tops))
+        carries = lost
+    return layers
+
+
+def _leveled(ps: PointSet, k: int):
+    """Both orientations of the basic (k = 0) or k-level cover:
+    [(orientation, (parts, no stars))], parts being the (left ids, right
+    ids) pairs that cover exactly the pairs with at most k blockers.
+
+    Lanes and strips as in _compact, over units of one y rank.  Queries
+    read left children only (_query_pairs).  A query's cuts before a strip
+    are the k + 1 highest lanes among the members ahead of it in the deeper
+    strips, merged one tree level at a time, deepest first; layer j takes
+    the (k + 1 - j)-th highest.  A strip's stacks are built only as far as
+    the queries that can find something in them read."""
+    n = ps.n
+    xs = ps.xs
+    by_x = list(ps.by_x)
+    pid = by_x + by_x[::-1]                     # point of each lane
+    # pipeline x of each lane (the anti lanes run on reflected x), and at
+    # lane -1 a key below all of them
+    key = [xs[p] for p in by_x] + [-xs[p] for p in reversed(by_x)]
+    key.append(min(key) - 1)
+    yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
+    nys = (-yr).tolist()
+    lo, hi, lc, rc = _tree_nodes(n)
+    st = _strips(yr, lo, lc, rc)
+    lanes = st.lanes
+    q_ent, s_ent = _query_pairs(st, lc)
+    q = lanes[q_ent]
+    seg = st.seg[s_ent]
+    row = len(st.bounds) - 2 - st.depth[st.node[q_ent]]   # 1: deepest
+    best = np.full((2 * n, k + 1), -1, dtype=np.int64)    # descending lanes
+    cuts = np.empty((len(q), k + 1), dtype=np.int64)
+    back = np.arange(k + 1)
+    for r in range(1, int(row.max(initial=0)) + 1):
+        at = np.flatnonzero(row == r)
+        qa = q[at]
+        cuts[at] = best[qa]
+        ent = s_ent[at, None] - back            # the strip's last k + 1 ahead
+        own = np.where(ent >= seg[at, None], lanes[ent], -1)
+        merged = np.sort(np.concatenate([best[qa], own], axis=1), axis=1)
+        best[qa] = merged[:, :-k - 2:-1]
+
+    # every layer of a strip holds lanes up to its last one ahead, so a
+    # query whose lowest cut is not below that lane finds nothing
+    live = np.flatnonzero(lanes[s_ent] > cuts[:, k])
+    mark = np.full(len(lanes), -1, dtype=np.int64)
+    mark[s_ent[live]] = s_ent[live]
+    starts = np.flatnonzero(np.diff(st.seg, prepend=-1))    # every segment
+    strips = {}     # segment start -> layers, up to the last entry read
+    for a, b in zip(starts.tolist(), (np.maximum.reduceat(mark, starts) + 1).tolist()):
+        if b:
+            ls = lanes[a:b].tolist()
+            strips[a] = _layers([key[x] for x in ls], [nys[x] for x in ls],
+                                [pid[x] for x in ls], k, key[-1])
+
+    # strip by strip, a registry fills in lane order (x order within an
+    # orientation) and keys a canonical set by cid * (k + 1) + layer
+    live = live[np.lexsort((q[live], seg[live]))]
+    regs_at = {}
+    cur = -1
+    for p, a, t, cl in zip(np.asarray(pid)[q[live]].tolist(),
+                           seg[live].tolist(),
+                           (s_ent - seg)[live].tolist(),
+                           cuts[live].tolist()):
+        if a != cur:
+            cur, reg, layers = a, regs_at.setdefault(a, {}), strips[a]
+        lev = 0
+        for stack, steps, tops in layers:
+            cut = key[cl[k - lev]]
+            if tops[t] > cut:       # else nothing in the layer lies past it
+                canons, elems = stack.suffix_at(steps[t], cut)
+                assert not elems    # unbuffered stacks are block-exact
+                for cid in canons:
+                    lst = reg.get(cid * (k + 1) + lev)
+                    if lst is None:
+                        reg[cid * (k + 1) + lev] = [p]
+                    else:
+                        lst.append(p)
+            lev += 1
+    parts = ([], [])
+    off, half = st.off.tolist(), (st.count // 2).tolist()
+    for o in (0, 1):
+        for u in sorted(u for u in lc if u != -1):
+            a = off[u] + o * half[u]
+            for lk, regs in regs_at.get(a, {}).items():
+                cid, lev = divmod(lk, k + 1)
+                parts[o].append((strips[a][lev][0].canonical_payloads(cid), regs))
+    return [(ORIENT_DOM, (parts[0], ([], []))),
+            (ORIENT_ANTI, (parts[1], ([], [])))]
+
+
+
+# ---------------------------------------------------------------------------
+# compact pipeline (rank space, both orientations in one batched pass)
+
+_SCAN_ROWS = 8192   # leaf-scan rows per chunk: bounds the (rows x tau) matrices
 
 
 def _leaf_scan(st: _Strips, yr, tau, below, cut):
@@ -434,15 +495,29 @@ def _compact(ps: PointSet):
     # one star per query lane, members ascending in lane (pipeline x)
     sq, sm = np.divmod(pairs, 2 * n)
     first = np.flatnonzero(np.diff(sq, prepend=-1))
+    sizes = np.diff(first, append=len(sm)).tolist()
     ids = pid.astype(object)            # one int per lane, shared by stars
     members = ids[sm].tolist()
-    bounds = first.tolist() + [len(sm)]
-    heads = sq[first]
-    split = int(np.searchsorted(heads, n))
-    stars = [(p, members[a:b]) for p, a, b in
-             zip(ids[heads].tolist(), bounds, bounds[1:])]
-    return [(ORIENT_DOM, (parts[0], stars[:split])),
-            (ORIENT_ANTI, (parts[1], stars[split:]))]
+    heads = ids[sq[first]].tolist()
+    split = int(np.searchsorted(sq[first], n))
+    cut = int(first[split]) if split < len(heads) else len(sm)
+    dom = (_runs(members[:cut], sizes[:split]), [(p,) for p in heads[:split]])
+    # the anti lanes run in reflected x: read their pairs backwards, which
+    # reverses every star, and put the stars back in order
+    anti = _runs(members[cut:][::-1], sizes[split:][::-1])
+    anti.reverse()
+    return [(ORIENT_DOM, (parts[0], dom)),
+            (ORIENT_ANTI, (parts[1], (anti, [(p,) for p in heads[split:]])))]
+
+
+def _runs(values: list, sizes) -> list[tuple]:
+    """values cut into consecutive tuples of the given sizes."""
+    out = []
+    a = 0
+    for z in sizes:
+        out.append(tuple(values[a:a + z]))
+        a += z
+    return out
 
 
 def _compact_pairs(ps: PointSet, pid):
@@ -526,36 +601,31 @@ def _compact_pairs(ps: PointSet, pid):
 
 def _assemble(ps: PointSet, oriented_results, variant: str,
               t0: float) -> BicliqueCover:
-    """Both pipelines emit every side ascending in pipeline x, so the anti
-    orientation (which ran on reflected coordinates) only needs reversing
-    to be ascending in true x."""
+    """Both pipelines emit every part's sides ascending in pipeline x, so
+    the anti orientation (which ran on reflected coordinates) only needs
+    them reversed to be ascending in true x.  Stars come as (left sides,
+    right sides), already ascending in true x."""
+    new = tuple.__new__                 # Biclique(...) without its __new__
     bicliques: list[Biclique] = []
-    for orientation, (parts, stars) in oriented_results:
+    weight = edges = 0
+    for orientation, (parts, (star_lefts, star_rights)) in oriented_results:
         flip = orientation == ORIENT_ANTI
         for left, right in parts:
             if flip:
                 left = left[::-1]
                 right = right[::-1]
-            bicliques.append(Biclique(tuple(left), tuple(right), orientation))
-        for pid, members in stars:
-            if flip:
-                members = members[::-1]
-            bicliques.append(Biclique(tuple(members), (pid,), orientation))
-    weight = sum(b.weight for b in bicliques)
-    edges = sum(b.edge_count for b in bicliques)
+            bicliques.append(new(Biclique, (tuple(left), tuple(right), orientation)))
+            weight += len(left) + len(right)
+            edges += len(left) * len(right)
+        bicliques += [new(Biclique, b) for b in
+                      zip(star_lefts, star_rights, repeat(orientation))]
+        members = sum(map(len, star_lefts))
+        weight += members + len(star_rights)
+        edges += members
     stats = CoverStats(count=len(bicliques), weight=weight, edges=edges,
                        build_ms=(time.perf_counter() - t0) * 1e3,
                        variant=variant)
     return BicliqueCover(bicliques, stats, ps.n)
-
-
-def _reflected(xs):
-    return [-x for x in xs]
-
-
-def _leveled(ps: PointSet, k: int):
-    return [(ORIENT_DOM, _leveled_oriented(ps, ps.xs, k)),
-            (ORIENT_ANTI, _leveled_oriented(ps, _reflected(ps.xs), k))]
 
 
 def _build(ps: PointSet, variant: str, pipeline, *args) -> BicliqueCover:

@@ -225,9 +225,22 @@ class RangeStack:
             if self._buffer_len > self.tau:
                 self._flush()
         else:
-            self._ekeys.append(key)
+            # a rank-0 tree of its own (_new_tree, inlined: this is the
+            # arrival of every unbuffered build), cascading only when the
+            # two trees below it have rank 0 too
+            ek, ranks = self._ekeys, self._t_rank
+            ek.append(key)
             self._epayload.append(payload)
-            self._insert_tree(self._new_tree(0, -1, -1))
+            tid = len(ranks)
+            ranks.append(0)
+            self._t_start.append(len(ek) - 1)
+            self._t_lorig.append(-1)
+            self._t_rorig.append(-1)
+            head = self._fhead
+            if head is None or head[1] is None or ranks[head[0]] or ranks[head[1][0]]:
+                self._fhead = (tid, head)
+            else:
+                self._insert_tree(tid)
         self._size += 1
         self._v_forest.append(self._fhead)
         self._v_buffer.append(self._bhead)

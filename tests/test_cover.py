@@ -110,6 +110,32 @@ def test_compact_cover_output_pinned(name):
     assert digest == PINNED_COVERS[name]
 
 
+# sha256 of repr(build_k_cover(ps, k).bicliques), taken before the leveled
+# pipeline moved onto the compact cover's lanes and pairs
+PINNED_LEVELED = {
+    ("uniform-1024", 0): "7d7f2802056b656d58e3d07980df0d0d2cfa5c65dfa3ce4a1348152437eb35e1",
+    ("uniform-1024", 1): "ebcba68bada7e16185e8bc6bf54d4f0ec847ea2e46a93e026fa71f0f7efbfbc4",
+    ("uniform-1024", 3): "12f12b48b3752a446b564761bc5cc9642e5ebec0ae895b1d7321f1c277e53778",
+    ("two-diagonals-256", 0): "dece1b653062d0b32a0699c390616482017ac7e10ac7d14321fb7ef55080c293",
+    ("two-diagonals-256", 1): "cabf86ce2a5890607d5fbaf1de7999207754f6c565e17857e5c6203faf0301c0",
+    ("two-diagonals-256", 3): "1c148d9c383d5996c866f45afca7b67bb08ed4dcc112f83c21f343bc7a10f735",
+    ("lower-bound-256", 0): "bcd656bd65f07d8f6e298826e812c5138fdc4208e1a32681dd899ccfeb9296e5",
+    ("lower-bound-256", 1): "0604c410cc9e78650fa94fd8c3c0e777db58caec01b70524e783192c6afbd6e0",
+    ("lower-bound-256", 3): "394c9d1f2fea6bfaa4dc227a63a0aa19ea95f614295e275ef02a20ab6670f21f",
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(PINNED_LEVELED))
+def test_leveled_cover_output_pinned(name, k):
+    family, size = name.rsplit("-", 1)
+    make = {"uniform": lambda m: uniform(m, 0), "two-diagonals": two_diagonals,
+            "lower-bound": lambda m: gen_lower_bound(m).ps}[family]
+    bicliques = build_k_cover(make(int(size)), k).bicliques
+    assert all(type(i) is int for b in bicliques for i in b.left + b.right)
+    digest = hashlib.sha256(repr(bicliques).encode()).hexdigest()
+    assert digest == PINNED_LEVELED[(name, k)]
+
+
 def test_builds_leave_no_cyclic_garbage():
     # the collector is off here, so every cycle a build leaves behind
     # stays until the explicit collection
