@@ -12,6 +12,9 @@ Selected level values (all of 1..mu, then a geometric ladder) turn each
 biclique into O((|A|+|B|)/eps + levels^2) weighted interior-disjoint
 rectangles whose value at any point is within [(1-eps) k l, k l].  Small
 bicliques skip the machinery and emit their rectangles verbatim (exact).
+The level cells of all the other bicliques of a cover are built in one
+numpy pass in index space (positions along each side), and their
+coordinates are gathered from the point set's doubled columns at the end.
 
 One overlay path serves both consumers: the cells of a whole cover become
 numpy columns, one rank step turns them into an x-sweep over compressed y,
@@ -87,16 +90,21 @@ def upper_corners(ax2: list[int], ay2: list[int], level: int) -> list:
     return [(ax2[j], ay2[j + level - 1]) for j in range(s - level + 1)]
 
 
-def subsample_corners(corners: list, gap: int) -> list:
-    """Every gap-th corner plus the last: the induced region is sandwiched
-    between the exact level and the level `gap` deeper, with complexity
-    len(corners)/gap + 2."""
-    if gap <= 1 or len(corners) <= 2:
-        return list(corners)
-    out = corners[::gap]
-    if out[-1] != corners[-1]:
-        out.append(corners[-1])
-    return out
+def _curve_positions(length, level, nxt, mu: int):
+    """The corners kept on staircase curves, the one subsampling rule.
+
+    Per curve: its count of exact corners, its level and the next selected
+    level (0 at the last level).  Up to mu and at the last level a curve
+    keeps every corner; past mu it keeps every gap-th corner plus the last,
+    gap the distance to the next level, so the region it induces is
+    sandwiched between the exact level and the next one, with complexity
+    length/gap + 2.  Returns (curve, position) arrays, positions ascending
+    within each curve."""
+    gap = np.where((level > mu) & (nxt > 0), nxt - level, 1)
+    count = (length + gap - 2) // gap + 1
+    curve = np.repeat(np.arange(len(length)), count)
+    r = np.arange(len(curve)) - np.repeat(np.cumsum(count) - count, count)
+    return curve, np.minimum(r * gap[curve], length[curve] - 1)
 
 
 def staircase_curves(corners, xs2: list[int], ys2: list[int], levels: list,
@@ -104,62 +112,19 @@ def staircase_curves(corners, xs2: list[int], ys2: list[int], levels: list,
     """One corner chain per selected level of one side of a biclique, exact
     up to mu and simplified past it.  ``corners`` is lower_corners for the B
     side and upper_corners for the A side."""
-    mu = math.ceil(6 / eps)
+    lv = np.array(levels, dtype=np.int64)
+    curve, pos = _curve_positions(len(xs2) - lv + 1, lv, np.append(lv[1:], 0),
+                                  math.ceil(6 / eps))
     curves = []
-    for i, a in enumerate(levels):
+    for a, kept in zip(levels, np.split(pos, np.searchsorted(
+            curve, np.arange(1, len(levels))))):
         exact = corners(xs2, ys2, a)
-        if a <= mu or i + 1 >= len(levels):
-            curves.append(exact)
-        else:
-            curves.append(subsample_corners(exact, levels[i + 1] - a))
+        curves.append([exact[p] for p in kept.tolist()])
     return curves
 
 
 # ---------------------------------------------------------------------------
-# per-biclique weighted cells
-
-
-def _grid_cells(out, xedges, yedges, xvals, yvals):
-    """Product cells: xedges/yedges are (lo, hi) doubled-closed interval
-    lists aligned with the level values."""
-    for (x1, x2), kv in zip(xedges, xvals):
-        if x1 > x2:
-            continue
-        for (y1, y2), lv in zip(yedges, yvals):
-            if y1 <= y2:
-                out.append((x1, y1, x2, y2, kv * lv))
-
-
-def _upper_bands(out, curve_list, levels, xmin2, ymin2, factor):
-    """Bands between consecutive down-left staircase regions, clipped to
-    x >= xmin2, y >= ymin2; band j carries value factor * levels[j]."""
-    for j, outer in enumerate(curve_list):
-        inner = curve_list[j + 1] if j + 1 < len(curve_list) else None
-        cuts = sorted({c[0] for c in outer}
-                      | ({c[0] for c in inner} if inner else set()))
-        o_xs = [c[0] for c in outer]
-        i_xs = [c[0] for c in inner] if inner else []
-        lo = xmin2
-        val = factor * levels[j]
-        for cx in cuts:
-            if cx < lo:
-                continue
-            oi = bisect_left(o_xs, cx)
-            top = outer[oi][1] if oi < len(outer) else None
-            if top is not None:
-                if inner is not None:
-                    ii = bisect_left(i_xs, cx)
-                    floor2 = inner[ii][1] + 1 if ii < len(inner) else ymin2
-                else:
-                    floor2 = ymin2
-                floor2 = max(floor2, ymin2)
-                if floor2 <= top and lo <= cx:
-                    out.append((lo, floor2, cx, top, val))
-            lo = cx + 1
-
-
-def _negate_corners(corners: list) -> list:
-    return [(-x, -y) for x, y in reversed(corners)]
+# weighted level cells
 
 
 def _emits_verbatim(t: int, s: int, levels_t: int, levels_s: int) -> bool:
@@ -169,80 +134,155 @@ def _emits_verbatim(t: int, s: int, levels_t: int, levels_s: int) -> bool:
     return t * s <= 2 * levels_t * levels_s + 3 * (t + s) + 4
 
 
+def _level_cells(bicliques: list, x2s, y2s, eps: float) -> tuple:
+    """Level cells of bicliques, as the columns (x1, y1, x2 + 1, y2 + 1, w)
+    of _cover_cells.  A biclique is (left, right, anti): the point ids of
+    its sides in x order and whether it is anti-oriented (reflected in x
+    into the dominance form).  x2s/y2s are the doubled coordinate columns
+    the ids index.
+
+    In its dominance form a biclique has B = left below-left of A = right,
+    both staircases x-ascending, y-descending, with |B| = t and |A| = s.
+    Each side is handled as a chain of down-left quadrant corners: A as it
+    is, B mirrored through the origin.  At level a, the corner at position
+    p of a chain is (x[p], y[p + a - 1]).  The mirrored B chain is B
+    reversed and negated, so its position q is B's lower-corner position
+    (t - a) - q, and its curves keep the positions B's own curves keep.
+    Per selected level a side has one band, the cells between the level's
+    curve and the next level's, of weight the other side's size times the
+    level, and one x- and one y-interval of the grid zones, which are outer
+    products over the (B level, A level) pairs.
+
+    All of it runs in index space over every side at once.  A corner is a
+    (level entry, position) key, so the cuts of every band are one merge
+    of two sorted key runs, and their outer tops and inner floors two
+    searchsorted calls.  A cell edge is a code 2 * id + offset, standing
+    for +-(x2s or y2s)[id] + offset in the side's frame, negative on a
+    reflected axis; reflecting an edge pair back swaps the two codes and
+    flips their offsets.  The coordinates are gathered at the end, and
+    empty cells (a grid product over an empty interval, a band whose floor
+    lies above its top) are dropped; strict staircases with B strictly
+    below-left of A, as in a cover of a validated point set, give none."""
+    mu = math.ceil(6 / eps)
+    chains, sizes, anti, ends = [], [], [], []
+    for left, right, flipped in bicliques:
+        low, up = (left[::-1], right[::-1]) if flipped else (left, right)
+        chains += [up, low[::-1]]
+        sizes += [len(up), len(low)]
+        anti.append(flipped)
+        ends.append((low[-1], low[0]))
+    # sides: A of biclique k is side 2k, the mirrored B side 2k + 1
+    n = np.array(sizes, dtype=np.int64)
+    mirrored = np.arange(len(n)) % 2 == 1
+    flip_x = np.repeat(np.array(anti, dtype=bool), 2) ^ mirrored
+    start = np.cumsum(n) - n
+    factor = n.reshape(-1, 2)[:, ::-1].ravel()
+    # codes of the sentinels: the zone boundaries x* = max B x + 1 and
+    # y* = max B y + 1 in A's frame, the B ends themselves mirrored
+    end_ids = np.repeat(np.array(ends, dtype=np.int64), 2, axis=0)
+    x_min, y_min = (2 * end_ids + (~mirrored)[:, None]).T
+    code = 2 * np.fromiter(chain.from_iterable(chains), dtype=np.int64,
+                           count=int(n.sum())) + 1
+    # level entries: side, level a and the next level (0 at the last)
+    selected = {c: select_levels(c, eps) for c in set(sizes)}
+    per_side = np.array([len(selected[c]) for c in sizes], dtype=np.int64)
+    a = np.fromiter(chain.from_iterable(selected[c] for c in sizes),
+                    dtype=np.int64, count=int(per_side.sum()))
+    side = np.repeat(np.arange(len(n)), per_side)
+    first = np.cumsum(per_side) - per_side
+    opens_side = np.append(True, side[1:] != side[:-1])
+    last = np.append(opens_side[1:], True)
+    nxt = np.where(last, 0, np.append(a[1:], 0))
+    base, size = start[side], n[side]
+    # bands: level e's curve is e's outer boundary and e - 1's inner one
+    length = size - a + 1
+    curve, p = _curve_positions(length, a, nxt, mu)
+    span = int(n.max())
+    # stable sorts merge presorted runs in linear time (each curve's keys
+    # ascend, or descend on a mirrored side)
+    outer = np.sort(curve * span + np.where(mirrored[side[curve]],
+                                            length[curve] - 1 - p, p),
+                    kind="stable")
+    inner = outer[~opens_side[outer // span]] - span
+    cuts = np.sort(np.concatenate((outer, inner)), kind="stable")
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    band = cuts // span
+    x = cuts - band * span
+    top = outer[np.searchsorted(outer, cuts)] - band * span + a[band] - 1
+    inner = np.append(inner, len(a) * span)    # past every band
+    hit = inner[np.searchsorted(inner, cuts)]
+    has_floor = hit < (band + 1) * span
+    floor = np.where(has_floor, hit - band * span + nxt[band] - 1, 0)
+    opens = np.append(True, band[1:] != band[:-1])
+    prev = np.where(opens, 0, np.roll(x, 1))
+    sb, cb = side[band], base[band]
+    x1, x2 = _unflip(np.where(opens, x_min[sb], code[cb + prev]),
+                     code[cb + x], flip_x[sb])
+    y1, y2 = _unflip(np.where(has_floor, code[cb + floor], y_min[sb]),
+                     code[cb + top], mirrored[sb])
+    bands = (x1, y1, x2, y2, factor[sb] * a[band])
+    # grid intervals per level entry
+    ahead = np.where(last, a, nxt)
+    x_lo, x_hi = _unflip(np.where(last, x_min[side],
+                                  code[base + size - ahead]),
+                         code[base + size - a], flip_x[side])
+    y_lo, y_hi = _unflip(np.where(last, y_min[side], code[base + ahead - 1]),
+                         code[base + a - 1], mirrored[side])
+    # (B level, A level) pairs of each biclique
+    per_a, per_b = per_side[0::2], per_side[1::2]
+    pairs = per_a * per_b
+    k = np.repeat(np.arange(len(pairs)), pairs)
+    r = np.arange(len(k)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    i = first[1::2][k] + r // per_a[k]
+    j = first[0::2][k] + r % per_a[k]
+    w = a[i] * a[j]
+    upper_left = (x_lo[i], y_lo[j], x_hi[i], y_hi[j], w)
+    lower_right = (x_lo[j], y_lo[i], x_hi[j], y_hi[i], w)
+    x1, y1, x2, y2, w = (np.concatenate(col) for col in
+                         zip(bands, upper_left, lower_right))
+    cols = [col[c >> 1] + (c & 1) for col, c in
+            ((x2s, x1), (y2s, y1), (x2s, x2), (y2s, y2))]
+    keep = (cols[0] < cols[2]) & (cols[1] < cols[3])
+    return tuple(col[keep] for col in (*cols, w))
+
+
+def _unflip(lo, hi, flip):
+    """Edge codes (2 * id + offset) of a half-open interval [lo, hi) of a
+    side's frame, in true coordinates: where flip is set the frame is the
+    reflection, which maps [lo, hi) to [1 - hi, 1 - lo)."""
+    return np.where(flip, hi ^ 1, lo), np.where(flip, lo ^ 1, hi)
+
+
 def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
     """Weighted interior-disjoint doubled-closed rectangles approximating
     the depth field of the rectangle family B x A (B fully below-left of A,
-    both staircases x-asc / y-desc).
+    both staircases strictly x-asc / y-desc).
 
     Small families are emitted verbatim (one unit rectangle per pair, which
-    is exact) whenever that is no larger than the level decomposition."""
+    is exact) whenever that is no larger than the level decomposition.  The
+    others are the one-biclique call of _level_cells, the builder the depth
+    index runs, with the cells' upper edges made closed again."""
     t, s = len(bx2), len(ax2)
-    levels_b = select_levels(t, eps)
-    levels_a = select_levels(s, eps)
-    if _emits_verbatim(t, s, len(levels_b), len(levels_a)):
+    if _emits_verbatim(t, s, len(select_levels(t, eps)),
+                       len(select_levels(s, eps))):
         return [(bx2[i], by2[i], ax2[j], ay2[j], 1)
                 for i in range(t) for j in range(s)]
-    xstar = bx2[-1] + 1   # between max B x and min A x
-    ystar = by2[0] + 1    # between max B y and min A y
-    cells: list = []
-    # upper-left grid: k from B x-thresholds, l from A y-thresholds
-    xthr = [bx2[a - 1] for a in levels_b]
-    xedges = [(xthr[i], xthr[i + 1] - 1) for i in range(len(xthr) - 1)]
-    xedges.append((xthr[-1], xstar - 1))
-    ythr = [ay2[b - 1] for b in levels_a]
-    yedges = [(ythr[i + 1] + 1, ythr[i]) for i in range(len(ythr) - 1)]
-    yedges.append((ystar, ythr[-1]))
-    _grid_cells(cells, xedges, yedges, levels_b, levels_a)
-    # lower-right grid: k from B y-thresholds, l from A x-thresholds
-    ythr_b = [by2[t - a] for a in levels_b]
-    yedges2 = [(ythr_b[i], ythr_b[i + 1] - 1) for i in range(len(ythr_b) - 1)]
-    yedges2.append((ythr_b[-1], ystar - 1))
-    xthr_a = [ax2[s - b] for b in levels_a]
-    xedges2 = [(xthr_a[i + 1] + 1, xthr_a[i]) for i in range(len(xthr_a) - 1)]
-    xedges2.append((xstar, xthr_a[-1]))
-    _grid_cells(cells, xedges2, yedges2, levels_a, levels_b)
-    # upper-right: k saturated at t, bands of the A staircase levels
-    curves_a = staircase_curves(upper_corners, ax2, ay2, levels_a, eps)
-    _upper_bands(cells, curves_a, levels_a, xstar, ystar, t)
-    # lower-left: l saturated at s, bands of the B staircase levels
-    # (mirrored through the origin into the upper-right formulation)
-    curves_b = staircase_curves(lower_corners, bx2, by2, levels_b, eps)
-    neg_curves = [_negate_corners(c) for c in curves_b]
-    mirrored: list = []
-    _upper_bands(mirrored, neg_curves, levels_b,
-                 -(xstar - 1), -(ystar - 1), s)
-    for x1, y1, x2, y2, w in mirrored:
-        cells.append((-x2, -y2, -x1, -y1, w))
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# biclique views in doubled coordinates
-
-
-def _oriented_sides2(b, xs, ys):
-    """(B, A) doubled chains with B fully dominated by A; anti bicliques
-    are reflected in x (flag returned so cells can be reflected back)."""
-    if b.orientation == ORIENT_DOM:
-        bx2 = [2 * xs[i] for i in b.left]
-        by2 = [2 * ys[i] for i in b.left]
-        ax2 = [2 * xs[i] for i in b.right]
-        ay2 = [2 * ys[i] for i in b.right]
-        return bx2, by2, ax2, ay2, False
-    bx2 = [-2 * xs[i] for i in reversed(b.left)]
-    by2 = [2 * ys[i] for i in reversed(b.left)]
-    ax2 = [-2 * xs[i] for i in reversed(b.right)]
-    ay2 = [2 * ys[i] for i in reversed(b.right)]
-    return bx2, by2, ax2, ay2, True
+    cols = _level_cells([(range(t), range(t, t + s), False)],
+                        coord_array([*bx2, *ax2]), coord_array([*by2, *ay2]),
+                        eps)
+    x1, y1, x2, y2, w = (col.tolist() for col in cols)
+    return [(a, b, c - 1, d - 1, e)
+            for a, b, c, d, e in zip(x1, y1, x2, y2, w)]
 
 
 def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
     """Weighted cells of every biclique of the cover in true doubled
     coordinates, as columns (x1, y1, x2 + 1, y2 + 1, w): cell i covers
     [x1, x2 + 1) x [y1, y2 + 1).  Verbatim bicliques are expanded in numpy,
-    one unit rectangle per (B, A) pair; the others go through
-    biclique_cells.  A coordinate column has object dtype when one of its
-    values exceeds int64."""
+    one unit rectangle per (B, A) pair; the others go through _level_cells
+    in one batch.  Both gather their coordinates from the doubled columns
+    of the point set, so a coordinate column has object dtype when one of
+    its values exceeds int64."""
     xs, ys = ps.xs, ps.ys
     sizes = {len(side) for b in cover.bicliques for side in (b.left, b.right)}
     level_count = {c: len(select_levels(c, eps)) for c in sizes}
@@ -251,12 +291,8 @@ def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
         t, s = len(b.left), len(b.right)
         if _emits_verbatim(t, s, level_count[t], level_count[s]):
             verbatim.append(b)
-            continue
-        bx2, by2, ax2, ay2, flipped = _oriented_sides2(b, xs, ys)
-        for x1, y1, x2, y2, w in biclique_cells(bx2, by2, ax2, ay2, eps):
-            if flipped:
-                x1, x2 = -x2, -x1
-            leveled.append((x1, y1, x2 + 1, y2 + 1, w))
+        else:
+            leveled.append((b.left, b.right, b.orientation != ORIENT_DOM))
     # pair p of a verbatim biclique joins its (p // s)-th left point with
     # its (p % s)-th right point; anti bicliques have the right side on the
     # left in x
@@ -281,8 +317,8 @@ def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
     cols = [np.where(flip, rx, lx), y2s[li], np.where(flip, lx, rx) + 1,
             y2s[ri] + 1, np.ones(len(li), dtype=np.int64)]
     if leveled:
-        cols = [np.concatenate((col, coord_array(extra)))
-                for col, extra in zip(cols, zip(*leveled))]
+        cols = [np.concatenate(pair) for pair in
+                zip(cols, _level_cells(leveled, x2s, y2s, eps))]
     return tuple(cols)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -192,6 +193,38 @@ def test_biclique_cells_size_scales():
         assert len(cells) <= 8 * n / eps + 4 * levels * levels
 
 
+def mirror_x(ps):
+    return validate([(-x, y) for x, y in ps.coords()])
+
+
+def test_level_cells_output_pinned():
+    """The level cells of the extremal sets (each also x-mirrored, so both
+    orientations take them) and of random chain pairs, sorted, hash to the
+    digest of the per-cell tuple builder they replaced.  The chain pairs
+    reach the subsampling edges: a last gap of one level and curves of at
+    most two corners."""
+    digest = hashlib.sha256()
+    bases = [two_diagonals(m) for m in (64, 128, 256)]
+    bases += [gen_lower_bound(n).ps for n in (192, 256)]
+    for ps in bases + [mirror_x(ps) for ps in bases]:
+        cover = build_cover(ps)
+        for eps in (0.5, 0.25, 0.1):
+            cols = _cover_cells(cover, ps, eps)
+            assert not any(np.issubdtype(col.dtype, np.floating)
+                           for col in cols)
+            rows = sorted(zip(*(col.tolist() for col in cols)))
+            count = DepthIndex(ps, eps, cover).cell_count
+            digest.update(repr((count, rows)).encode())
+    rng = random.Random(15)
+    for _ in range(60):
+        t, s = rng.randint(20, 300), rng.randint(20, 300)
+        eps = rng.choice((0.5, 0.25, 0.1))
+        chains = make_chains(rng, t, s, span=3 * max(t, s))
+        digest.update(repr(sorted(biclique_cells(*chains, eps))).encode())
+    assert digest.hexdigest() == \
+        "51dd9136fe71058b2c19117d6b6a5ff6ff9d811663de20e4f9e187eca66c3d88"
+
+
 def test_eps_validation():
     ps = small_uniform(10, 0)
     for bad in (0, 1, -0.5, 1.5):
@@ -330,15 +363,17 @@ def test_dropped_index_frees_its_tree_without_collection():
 
 @pytest.mark.parametrize("dx,dy", [(1 << 70, -(1 << 66)), (1 << 62, 0)],
                          ids=["2^70,-2^66", "2^62,0"])
-@pytest.mark.parametrize("base,eps", [(small_uniform(50, 3), 0.5),
-                                      (small_uniform(50, 3), 0.25),
-                                      (two_diagonals(64), 0.5)],
-                         ids=["uniform50-0.5", "uniform50-0.25",
-                              "two-diagonals64-0.5"])
+@pytest.mark.parametrize("base,eps", [
+    (small_uniform(50, 3), 0.5), (small_uniform(50, 3), 0.25),
+    (two_diagonals(64), 0.5), (gen_lower_bound(192).ps, 0.5),
+    (mirror_x(gen_lower_bound(192).ps), 0.5)],
+    ids=["uniform50-0.5", "uniform50-0.25", "two-diagonals64-0.5",
+         "lower-bound192-0.5", "lower-bound192-mirrored-0.5"])
 def test_depth_index_and_max_at_huge_coordinates(dx, dy, base, eps):
     # the cells only shift with the points, so the shifted structures must
     # answer exactly as the unshifted ones; doubled coordinates leave int64
-    # (two-diagonals m = 64 takes the level cells at eps 0.5)
+    # (two-diagonals m = 64 takes the level cells at eps 0.5 in one
+    # biclique, lower-bound n = 192 in three, in either orientation)
     ps = validate([(x + dx, y + dy) for x, y in base.coords()])
     rng = random.Random(6)
     qs = [(2 * qx, 2 * qy) for qx, qy in query_grid(base, rng, 400)]
@@ -351,6 +386,25 @@ def test_depth_index_and_max_at_huge_coordinates(dx, dy, base, eps):
     assert shifted.query((dx + Fraction(1, 2), dy)) == ix.query((Fraction(1, 2), 0))
     (px, py), v = approx_max_depth(base, eps)
     assert approx_max_depth(ps, eps) == ((px + dx, py + dy), v)
+
+
+def test_depth_index_build_runs_few_collections():
+    """The level cells of two-diagonals m = 256 are built as numpy columns,
+    not one tracked tuple per cell: the build barely wakes the collector."""
+    ps = two_diagonals(256)
+    cover = build_cover(ps)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        DepthIndex(ps, 0.5, cover)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(starts) <= 10, f"{len(starts)} collector passes"
 
 
 def exact_depth_sets():
@@ -447,7 +501,7 @@ def test_exact_depth_at_answers_from_its_view(monkeypatch):
         def __iter__(self):
             raise AssertionError("exact_depth_at looped over the bicliques")
 
-    monkeypatch.setattr(boxrig.depth, "_oriented_sides2", refuse)
+    monkeypatch.setattr(boxrig.depth, "_cover_cells", refuse)
     monkeypatch.setattr(cov, "bicliques", Unwalkable(cov.bicliques))
     assert [exact_depth_at(cov, ps, q) for q in qs] == truths
     assert cov._side_ranks[1] is view
