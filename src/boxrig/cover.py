@@ -44,7 +44,6 @@ from contextlib import contextmanager
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +61,8 @@ COMPACT_MIN_N = 64  # below this the compact machinery degenerates; use basic
 
 @contextmanager
 def _gc_paused():
-    """The builders allocate millions of acyclic tuples; pausing the cyclic
-    collector for the build avoids quadratic-feeling GC sweeps."""
+    """The leveled stacks allocate millions of acyclic containers; pausing
+    the cyclic collector for the build avoids quadratic-feeling GC sweeps."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -83,14 +82,6 @@ class Biclique(NamedTuple):
     right: tuple
     orientation: str
 
-    @property
-    def weight(self) -> int:
-        return len(self.left) + len(self.right)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.left) * len(self.right)
-
 
 @dataclass
 class CoverStats:
@@ -101,14 +92,30 @@ class CoverStats:
     variant: str
 
 
-@dataclass
+@dataclass(eq=False)
 class BicliqueCover:
-    bicliques: list
+    """A cover as CSR columns.  ``sides`` holds each biclique's left side,
+    then its right side, each in true x order; side j is
+    sides[starts[j]:starts[j + 1]], so biclique i owns sides 2i and 2i + 1;
+    ``anti[i]`` marks an anti-dominance biclique."""
+
+    sides: np.ndarray
+    starts: np.ndarray
+    anti: np.ndarray
     stats: CoverStats
     n: int
     # (point set, rank-space side view) kept by depth.exact_depth_at
-    _side_ranks: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    _side_ranks: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def bicliques(self) -> list[Biclique]:
+        """A new list of the bicliques on every access, so editing it leaves
+        the cover as it is."""
+        ids, at = self.sides.tolist(), self.starts.tolist()
+        return [Biclique(tuple(ids[at[j]:at[j + 1]]),
+                         tuple(ids[at[j + 1]:at[j + 2]]),
+                         ORIENT_ANTI if flip else ORIENT_DOM)
+                for j, flip in zip(range(0, len(at) - 1, 2), self.anti.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +298,9 @@ def _layers(sxs: list, nys: list, pts: list, k: int, floor):
 
 
 def _leveled(ps: PointSet, k: int):
-    """Both orientations of the basic (k = 0) or k-level cover:
-    [(orientation, (parts, no stars))], parts being the (left ids, right
-    ids) pairs that cover exactly the pairs with at most k blockers.
+    """Both orientations of the basic (k = 0) or k-level cover, as the runs
+    of _pack: the canonical parts, (left ids, right ids) pairs that cover
+    exactly the pairs with at most k blockers.
 
     Lanes and strips as in _compact, over units of one y rank.  Queries
     read left children only (_query_pairs).  A query's cuts before a strip
@@ -367,17 +374,19 @@ def _leveled(ps: PointSet, k: int):
                     else:
                         lst.append(p)
             lev += 1
-    parts = ([], [])
+    runs = []
     off, half = st.off.tolist(), (st.count // 2).tolist()
     for o in (0, 1):
+        ids, sizes = [], []
         for u in sorted(u for u in lc if u != -1):
             a = off[u] + o * half[u]
             for lk, regs in regs_at.get(a, {}).items():
                 cid, lev = divmod(lk, k + 1)
-                parts[o].append((strips[a][lev][0].canonical_payloads(cid), regs))
-    return [(ORIENT_DOM, (parts[0], ([], []))),
-            (ORIENT_ANTI, (parts[1], ([], [])))]
-
+                left = strips[a][lev][0].canonical_payloads(cid)
+                ids += left + regs
+                sizes += (len(left), len(regs))
+        runs.append((ids, sizes, o == 1))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +490,8 @@ def _strip_stacks(st: _Strips, lc, below, pid):
 
 
 def _compact(ps: PointSet):
-    """Both orientations of the compact cover: [(orientation, (canonical
-    parts, stars))].
+    """Both orientations of the compact cover, as the runs of _pack: each
+    orientation's canonical parts, then its stars.
 
     Lane k < n is the point of x rank k, lane n + k the point of x rank
     n - 1 - k (the anti orientation runs on reflected x).  Lane order is
@@ -491,41 +500,25 @@ def _compact(ps: PointSet):
     n = ps.n
     by_x = np.asarray(ps.by_x, dtype=np.int64)
     pid = np.concatenate([by_x, by_x[::-1]])        # point of each lane
-    pairs, parts = _compact_pairs(ps, pid)
-    # one star per query lane, members ascending in lane (pipeline x)
+    pairs, runs = _compact_pairs(ps, pid)
+    # one star per query lane: its members ascending in lane, then the query
     sq, sm = np.divmod(pairs, 2 * n)
     first = np.flatnonzero(np.diff(sq, prepend=-1))
-    sizes = np.diff(first, append=len(sm)).tolist()
-    ids = pid.astype(object)            # one int per lane, shared by stars
-    members = ids[sm].tolist()
-    heads = ids[sq[first]].tolist()
-    split = int(np.searchsorted(sq[first], n))
-    cut = int(first[split]) if split < len(heads) else len(sm)
-    dom = (_runs(members[:cut], sizes[:split]), [(p,) for p in heads[:split]])
-    # the anti lanes run in reflected x: read their pairs backwards, which
-    # reverses every star, and put the stars back in order
-    anti = _runs(members[cut:][::-1], sizes[split:][::-1])
-    anti.reverse()
-    return [(ORIENT_DOM, (parts[0], dom)),
-            (ORIENT_ANTI, (parts[1], (anti, [(p,) for p in heads[split:]])))]
-
-
-def _runs(values: list, sizes) -> list[tuple]:
-    """values cut into consecutive tuples of the given sizes."""
-    out = []
-    a = 0
-    for z in sizes:
-        out.append(tuple(values[a:a + z]))
-        a += z
-    return out
+    ends = np.append(first[1:], len(sm))
+    ids = np.insert(pid[sm], ends, pid[sq[first]])
+    sizes = np.column_stack((ends - first, np.ones_like(first))).ravel()
+    split = int(np.searchsorted(sq[first], n))      # the first anti star
+    cut = split + (int(first[split]) if split < len(first) else len(sm))
+    return [runs[0], (ids[:cut], sizes[:2 * split], False),
+            runs[1], (ids[cut:], sizes[2 * split:], True)]
 
 
 def _compact_pairs(ps: PointSet, pid):
     """The compact pipeline up to its stars: every (query lane, member
-    lane) star pair packed as query * 2n + member and sorted, and the
-    canonical parts of each orientation's stack-backed strips.  The
+    lane) star pair packed as query * 2n + member and sorted, and the runs
+    (_pack) of each orientation's stack-backed strips' canonical parts.  The
     per-entry arrays live only here, so they are freed before the stars
-    become Python lists."""
+    are packed."""
     n = ps.n
     tau = 3 * max(1, (n - 1).bit_length())
     lo, hi, lc, rc = _tree_nodes((n + tau - 1) // tau)
@@ -584,48 +577,48 @@ def _compact_pairs(ps: PointSet, pid):
     # then by member
     pairs = np.concatenate(star)
     pairs.sort()
-    parts = [[], []]
+    runs = []
     for o in (0, 1):
+        ids, sizes = [], []
         for u in range(len(lo)):
             a = int(st.off[u]) + o * (int(st.count[u]) // 2)
             if a in stacks:
                 stack, _, reg = stacks[a]
                 for cid, regs in reg.items():
-                    parts[o].append((stack.canonical_payloads(cid), regs))
-    return pairs, parts
+                    left = stack.canonical_payloads(cid)
+                    ids += left + regs
+                    sizes += (len(left), len(regs))
+        runs.append((ids, sizes, o == 1))
+    return pairs, runs
 
 
 # ---------------------------------------------------------------------------
 # assembly and public entry points
 
 
-def _assemble(ps: PointSet, oriented_results, variant: str,
-              t0: float) -> BicliqueCover:
-    """Both pipelines emit every part's sides ascending in pipeline x, so
-    the anti orientation (which ran on reflected coordinates) only needs
-    them reversed to be ascending in true x.  Stars come as (left sides,
-    right sides), already ascending in true x."""
-    new = tuple.__new__                 # Biclique(...) without its __new__
-    bicliques: list[Biclique] = []
-    weight = edges = 0
-    for orientation, (parts, (star_lefts, star_rights)) in oriented_results:
-        flip = orientation == ORIENT_ANTI
-        for left, right in parts:
-            if flip:
-                left = left[::-1]
-                right = right[::-1]
-            bicliques.append(new(Biclique, (tuple(left), tuple(right), orientation)))
-            weight += len(left) + len(right)
-            edges += len(left) * len(right)
-        bicliques += [new(Biclique, b) for b in
-                      zip(star_lefts, star_rights, repeat(orientation))]
-        members = sum(map(len, star_lefts))
-        weight += members + len(star_rights)
-        edges += members
-    stats = CoverStats(count=len(bicliques), weight=weight, edges=edges,
+def _pack(n: int, runs, variant: str, t0: float) -> BicliqueCover:
+    """The cover of runs of bicliques, in order.  A run is (ids, sizes,
+    anti): each biclique's left side then its right side, both ascending in
+    pipeline x, the sizes of those sides, and whether the run is
+    anti-oriented.  The anti pipeline ran on reflected x, so each of its
+    sides is reversed into true x order."""
+    cols = []
+    for ids, sizes, anti in runs:
+        ids = np.asarray(ids, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if anti:
+            # entry i of a side [a, b) takes entry a + b - 1 - i
+            ends = np.cumsum(sizes)
+            ids = ids[np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(ids))]
+        cols.append((ids, sizes, np.full(len(sizes) // 2, anti)))
+    sides, sizes, anti = (np.concatenate(col) for col in zip(*cols))
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    stats = CoverStats(count=len(anti), weight=len(sides),
+                       edges=int(sizes[0::2] @ sizes[1::2]),
                        build_ms=(time.perf_counter() - t0) * 1e3,
                        variant=variant)
-    return BicliqueCover(bicliques, stats, ps.n)
+    return BicliqueCover(sides, starts, anti, stats, n)
 
 
 def _build(ps: PointSet, variant: str, pipeline, *args) -> BicliqueCover:
@@ -634,7 +627,7 @@ def _build(ps: PointSet, variant: str, pipeline, *args) -> BicliqueCover:
         raise ValueError("need at least two points")
     t0 = time.perf_counter()
     with _gc_paused():
-        return _assemble(ps, pipeline(ps, *args), variant, t0)
+        return _pack(ps.n, pipeline(ps, *args), variant, t0)
 
 
 def build_cover_basic(ps: PointSet) -> BicliqueCover:
@@ -683,6 +676,10 @@ def edge_set(cover: BicliqueCover) -> set:
 def separation_lines(b: Biclique, ps: PointSet):
     """Witness (vertical, horizontal) separation line coordinates, doubled.
     Raises if the biclique is not quadrant-separated."""
+    if not (b.left and b.right):
+        raise AssertionError("empty side")
+    if not all(0 <= i < ps.n for i in b.left + b.right):
+        raise AssertionError("point id out of range")
     lx = [ps.xs[i] for i in b.left]
     rx = [ps.xs[i] for i in b.right]
     ly = [ps.ys[i] for i in b.left]

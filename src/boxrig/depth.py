@@ -44,11 +44,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from .cover import ORIENT_DOM, BicliqueCover, build_cover
+from .cover import BicliqueCover, build_cover
 from .geom import Coord, PointSet, Rect, _rect_ids, coord_array, dbl
 
 
@@ -134,12 +133,24 @@ def _emits_verbatim(t: int, s: int, levels_t: int, levels_s: int) -> bool:
     return t * s <= 2 * levels_t * levels_s + 3 * (t + s) + 4
 
 
-def _level_cells(bicliques: list, x2s, y2s, eps: float) -> tuple:
+def _ladders(sizes, eps: float) -> tuple:
+    """select_levels of every distinct side size, once: (levels, at), the
+    ladder of size c being levels[at[c]:at[c + 1]]."""
+    distinct = np.unique(sizes)
+    ladders = [select_levels(c, eps) for c in distinct.tolist()]
+    count = np.zeros(int(distinct[-1]) + 2, dtype=np.int64)
+    count[distinct + 1] = [len(ladder) for ladder in ladders]
+    return np.concatenate(ladders), np.cumsum(count)
+
+
+def _level_cells(sides, bounds, anti, ladders: tuple, x2s, y2s,
+                 eps: float) -> tuple:
     """Level cells of bicliques, as the columns (x1, y1, x2 + 1, y2 + 1, w)
-    of _cover_cells.  A biclique is (left, right, anti): the point ids of
-    its sides in x order and whether it is anti-oriented (reflected in x
-    into the dominance form).  x2s/y2s are the doubled coordinate columns
-    the ids index.
+    of _cover_cells.  Biclique k's left side is sides[lo:mid] and its right
+    side sides[mid:hi], (lo, mid, hi) = bounds[k], both point ids in x
+    order; anti[k] marks it anti-oriented (reflected in x into the
+    dominance form).  ladders holds the selected levels of every side size
+    (_ladders).  x2s/y2s are the doubled coordinate columns the ids index.
 
     In its dominance form a biclique has B = left below-left of A = right,
     both staircases x-ascending, y-descending, with |B| = t and |A| = s.
@@ -164,32 +175,28 @@ def _level_cells(bicliques: list, x2s, y2s, eps: float) -> tuple:
     lies above its top) are dropped; strict staircases with B strictly
     below-left of A, as in a cover of a validated point set, give none."""
     mu = math.ceil(6 / eps)
-    chains, sizes, anti, ends = [], [], [], []
-    for left, right, flipped in bicliques:
-        low, up = (left[::-1], right[::-1]) if flipped else (left, right)
-        chains += [up, low[::-1]]
-        sizes += [len(up), len(low)]
-        anti.append(flipped)
-        ends.append((low[-1], low[0]))
-    # sides: A of biclique k is side 2k, the mirrored B side 2k + 1
-    n = np.array(sizes, dtype=np.int64)
+    # sides: A of biclique k (its right side) is side 2k, the mirrored B
+    # side (its left) 2k + 1; a chain runs against x where flip_x is set
+    lo, mid, hi = np.asarray(bounds, dtype=np.int64).T
+    n = np.column_stack((hi - mid, mid - lo)).ravel()
     mirrored = np.arange(len(n)) % 2 == 1
-    flip_x = np.repeat(np.array(anti, dtype=bool), 2) ^ mirrored
+    flip_x = np.repeat(np.asarray(anti, dtype=bool), 2) ^ mirrored
     start = np.cumsum(n) - n
     factor = n.reshape(-1, 2)[:, ::-1].ravel()
+    head = np.column_stack((mid, lo)).ravel() + np.where(flip_x, n - 1, 0)
+    pos = np.arange(int(n.sum())) - np.repeat(start, n)
+    code = 2 * sides[np.repeat(head, n) + np.repeat(1 - 2 * flip_x, n) * pos] + 1
     # codes of the sentinels: the zone boundaries x* = max B x + 1 and
-    # y* = max B y + 1 in A's frame, the B ends themselves mirrored
-    end_ids = np.repeat(np.array(ends, dtype=np.int64), 2, axis=0)
-    x_min, y_min = (2 * end_ids + (~mirrored)[:, None]).T
-    code = 2 * np.fromiter(chain.from_iterable(chains), dtype=np.int64,
-                           count=int(n.sum())) + 1
+    # y* = max B y + 1 in A's frame, the B chain's ends themselves mirrored
+    b_first = np.repeat(start[1::2], 2)
+    x_min = code[b_first] - mirrored
+    y_min = code[b_first + np.repeat(n[1::2], 2) - 1] - mirrored
     # level entries: side, level a and the next level (0 at the last)
-    selected = {c: select_levels(c, eps) for c in set(sizes)}
-    per_side = np.array([len(selected[c]) for c in sizes], dtype=np.int64)
-    a = np.fromiter(chain.from_iterable(selected[c] for c in sizes),
-                    dtype=np.int64, count=int(per_side.sum()))
-    side = np.repeat(np.arange(len(n)), per_side)
+    levels, at = ladders
+    per_side = at[n + 1] - at[n]
     first = np.cumsum(per_side) - per_side
+    side = np.repeat(np.arange(len(n)), per_side)
+    a = levels[at[n][side] + np.arange(len(side)) - first[side]]
     opens_side = np.append(True, side[1:] != side[:-1])
     last = np.append(opens_side[1:], True)
     nxt = np.where(last, 0, np.append(a[1:], 0))
@@ -263,11 +270,12 @@ def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
     others are the one-biclique call of _level_cells, the builder the depth
     index runs, with the cells' upper edges made closed again."""
     t, s = len(bx2), len(ax2)
-    if _emits_verbatim(t, s, len(select_levels(t, eps)),
-                       len(select_levels(s, eps))):
+    ladders = _ladders(np.array([t, s]), eps)
+    count = np.diff(ladders[1])
+    if _emits_verbatim(t, s, count[t], count[s]):
         return [(bx2[i], by2[i], ax2[j], ay2[j], 1)
                 for i in range(t) for j in range(s)]
-    cols = _level_cells([(range(t), range(t, t + s), False)],
+    cols = _level_cells(np.arange(t + s), [[0, t, t + s]], [False], ladders,
                         coord_array([*bx2, *ax2]), coord_array([*by2, *ay2]),
                         eps)
     x1, y1, x2, y2, w = (col.tolist() for col in cols)
@@ -283,42 +291,33 @@ def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
     in one batch.  Both gather their coordinates from the doubled columns
     of the point set, so a coordinate column has object dtype when one of
     its values exceeds int64."""
-    xs, ys = ps.xs, ps.ys
-    sizes = {len(side) for b in cover.bicliques for side in (b.left, b.right)}
-    level_count = {c: len(select_levels(c, eps)) for c in sizes}
-    verbatim, leveled = [], []
-    for b in cover.bicliques:
-        t, s = len(b.left), len(b.right)
-        if _emits_verbatim(t, s, level_count[t], level_count[s]):
-            verbatim.append(b)
-        else:
-            leveled.append((b.left, b.right, b.orientation != ORIENT_DOM))
+    sides, starts, anti = cover.sides, cover.starts, cover.anti
+    size = np.diff(starts)
+    t, s = size[0::2], size[1::2]
+    ladders = _ladders(size, eps)
+    count = np.diff(ladders[1])
+    verbatim = _emits_verbatim(t, s, count[t], count[s])
     # pair p of a verbatim biclique joins its (p // s)-th left point with
     # its (p % s)-th right point; anti bicliques have the right side on the
     # left in x
-    m = len(verbatim)
-    t = np.fromiter((len(b.left) for b in verbatim), dtype=np.int64, count=m)
-    s = np.fromiter((len(b.right) for b in verbatim), dtype=np.int64, count=m)
-    left = np.fromiter(chain.from_iterable(b.left for b in verbatim),
-                       dtype=np.int64, count=int(t.sum()))
-    right = np.fromiter(chain.from_iterable(b.right for b in verbatim),
-                        dtype=np.int64, count=int(s.sum()))
-    anti = np.fromiter((b.orientation != ORIENT_DOM for b in verbatim),
-                       dtype=bool, count=m)
-    pairs = t * s
-    pair_start = np.cumsum(pairs) - pairs
-    li = np.repeat(left, np.repeat(s, t))
-    pos = np.arange(int(pairs.sum())) - np.repeat(pair_start, pairs)
-    ri = right[np.repeat(np.cumsum(s) - s, pairs) + pos % np.repeat(s, pairs)]
-    x2s = coord_array([2 * x for x in xs])
-    y2s = coord_array([2 * y for y in ys])
-    flip = np.repeat(anti, pairs)
+    picks = np.flatnonzero(verbatim)
+    pairs = t[picks] * s[picks]
+    k = np.repeat(picks, pairs)
+    pos = np.arange(len(k)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    li = sides[starts[2 * k] + pos // s[k]]
+    ri = sides[starts[2 * k + 1] + pos % s[k]]
+    x2s = coord_array([2 * x for x in ps.xs])
+    y2s = coord_array([2 * y for y in ps.ys])
+    flip = anti[k]
     lx, rx = x2s[li], x2s[ri]
     cols = [np.where(flip, rx, lx), y2s[li], np.where(flip, lx, rx) + 1,
             y2s[ri] + 1, np.ones(len(li), dtype=np.int64)]
-    if leveled:
+    leveled = np.flatnonzero(~verbatim)
+    if len(leveled):
+        bounds = starts[2 * leveled[:, None] + np.arange(3)]
         cols = [np.concatenate(pair) for pair in
-                zip(cols, _level_cells(leveled, x2s, y2s, eps))]
+                zip(cols, _level_cells(sides, bounds, anti[leveled], ladders,
+                                       x2s, y2s, eps))]
     return tuple(cols)
 
 
@@ -353,19 +352,19 @@ class _SideRanks:
         self.sy2 = [2 * ys[i] for i in ps.by_y]
         rank_x = np.fromiter(ps.rank_x, dtype=np.int32, count=ps.n)
         rank_y = np.fromiter(ps.rank_y, dtype=np.int32, count=ps.n)
-        dom = [b for b in cover.bicliques if b.orientation == ORIENT_DOM]
-        anti = [b for b in cover.bicliques if b.orientation != ORIENT_DOM]
+        anti = cover.anti
+        # each biclique's index among those of its orientation
+        within = np.where(anti, np.cumsum(anti), np.cumsum(~anti)) - 1
+        side = np.repeat(np.arange(2 * len(anti)), np.diff(cover.starts))
         self.parts = []
-        for flipped, group in ((False, dom), (True, anti)):
+        for flipped in (False, True):
             sides = []
-            for members in ([b.left for b in group], [b.right for b in group]):
-                sizes = np.fromiter(map(len, members), dtype=np.int64,
-                                    count=len(members))
-                ids = np.fromiter(chain.from_iterable(members), dtype=np.int64,
-                                  count=int(sizes.sum()))
-                seg = np.repeat(np.arange(len(members), dtype=np.int32), sizes)
-                sides.append((rank_x[ids], rank_y[ids], seg))
-            self.parts.append((flipped, len(group), *sides))
+            for right in (0, 1):
+                at = (anti[side >> 1] == flipped) & ((side & 1) == right)
+                ids = cover.sides[at]
+                sides.append((rank_x[ids], rank_y[ids],
+                              within[side[at] >> 1].astype(np.int32)))
+            self.parts.append((flipped, int(np.sum(anti == flipped)), *sides))
 
     def depth2(self, qx2: int, qy2: int) -> int:
         """Sum of k*l over the bicliques: k counts the lower side's points

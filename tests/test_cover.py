@@ -1,12 +1,14 @@
 import gc
 import hashlib
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from boxrig.cover import (ORIENT_DOM, Biclique, build_cover,
+from boxrig.cover import (ORIENT_DOM, Biclique, _pack, build_cover,
                           build_cover_basic, build_k_cover, edge_set,
                           expand_edges, rect_families, verify_cover)
 from boxrig.depth import DepthIndex, approx_max_depth
@@ -285,20 +287,40 @@ def test_verify_cover_green():
     assert rep.ok
 
 
+def packed(ps, bicliques):
+    """A cover of the given bicliques, packed as the builders pack theirs:
+    an anti biclique's sides are handed over in reflected x order, as its
+    pipeline emits them."""
+    runs = []
+    for b in bicliques:
+        anti = b.orientation != ORIENT_DOM
+        left, right = (b.left[::-1], b.right[::-1]) if anti else (b.left, b.right)
+        runs.append(([*left, *right], [len(left), len(right)], anti))
+    return _pack(ps.n, runs, "edited", time.perf_counter())
+
+
+def test_packed_roundtrip():
+    ps = small_uniform(60, 3)
+    cov = build_cover(ps)
+    again = packed(ps, cov.bicliques)
+    assert again.bicliques == cov.bicliques
+    assert again.stats.edges == cov.stats.edges
+
+
 def test_verify_cover_flags_duplicate():
     ps = validate([(0, 0), (5, 3), (9, 8)])
-    cov = build_cover(ps)
-    cov.bicliques.append(cov.bicliques[0])
-    rep = verify_cover(cov, ps)
+    bicliques = build_cover(ps).bicliques
+    bicliques.append(bicliques[0])
+    rep = verify_cover(packed(ps, bicliques), ps)
     assert not rep.ok
     assert rep.duplicate_edges
 
 
 def test_verify_cover_flags_missing():
     ps = validate([(0, 0), (5, 3), (9, 8)])
-    cov = build_cover(ps)
-    dropped = cov.bicliques.pop()
-    rep = verify_cover(cov, ps)
+    bicliques = build_cover(ps).bicliques
+    dropped = bicliques.pop()
+    rep = verify_cover(packed(ps, bicliques), ps)
     assert not rep.ok
     assert rep.missing_edges
     pair = (dropped.left[0], dropped.right[0])
@@ -308,8 +330,71 @@ def test_verify_cover_flags_missing():
 
 def test_verify_cover_flags_separation():
     ps = validate([(0, 0), (5, 3), (9, 8)])
-    cov = build_cover(ps)
-    cov.bicliques.append(Biclique((0, 2), (1,), ORIENT_DOM))
-    rep = verify_cover(cov, ps)
+    bicliques = build_cover(ps).bicliques
+    bicliques.append(Biclique((0, 2), (1,), ORIENT_DOM))
+    rep = verify_cover(packed(ps, bicliques), ps)
     assert rep.separation_violations or rep.duplicate_edges
     assert not rep.ok
+
+
+def test_verify_cover_reports_ids_out_of_range_and_empty_sides():
+    ps = validate([(0, 0), (5, 3), (9, 8)])
+    # a cover of five points checked against three
+    rep = verify_cover(build_cover(validate([(0, 0), (5, 3), (9, 8), (1, 7),
+                                             (6, 1)])), ps)
+    assert not rep.ok
+    assert any(why == "point id out of range"
+               for _, why in rep.separation_violations)
+    bicliques = build_cover(ps).bicliques
+    bicliques.append(Biclique((), (1,), ORIENT_DOM))
+    rep = verify_cover(packed(ps, bicliques), ps)
+    assert not rep.ok
+    assert rep.separation_violations == [(len(bicliques) - 1, "empty side")]
+
+
+def test_bicliques_is_a_fresh_view():
+    ps = small_uniform(80, 4)
+    cov = build_cover(ps)
+    columns = [col.copy() for col in (cov.sides, cov.starts, cov.anti)]
+    stats = repr(cov.stats)
+    view = cov.bicliques
+    assert cov.bicliques == view and cov.bicliques is not view
+    view.append(view[0])
+    view.append(Biclique((0, 1), (2,), ORIENT_DOM))
+    assert len(cov.bicliques) == cov.stats.count == len(view) - 2
+    assert repr(cov.stats) == stats
+    for col, kept in zip((cov.sides, cov.starts, cov.anti), columns):
+        assert np.array_equal(col, kept)
+    assert verify_cover(cov, ps).ok
+
+
+@pytest.mark.parametrize("build", [build_cover, build_cover_basic,
+                                   lambda ps: build_k_cover(ps, 2)],
+                         ids=["compact", "basic", "k2"])
+def test_stats_come_from_the_columns(build):
+    ps = uniform(300, 5)
+    cov = build(ps)
+    bicliques = cov.bicliques
+    count, weight, edges = cov.stats.count, cov.stats.weight, cov.stats.edges
+    assert all(type(v) is int for v in (count, weight, edges))
+    assert count == len(cov.anti) == len(bicliques)
+    assert weight == len(cov.sides) == sum(len(b.left) + len(b.right)
+                                           for b in bicliques)
+    assert edges == sum(len(b.left) * len(b.right) for b in bicliques)
+    assert len(cov.starts) == 2 * count + 1
+
+
+def test_kept_cover_is_columnar():
+    # the columns hold 8 bytes per unit of weight plus two offsets per
+    # biclique; a list of Biclique tuples holds about 28
+    ps = uniform(16384, 0)
+    build_cover(small_uniform(200, 1))    # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cov = build_cover(ps)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 12 * cov.stats.weight, kept / cov.stats.weight

@@ -485,7 +485,7 @@ def test_depth_index_checks_its_cover():
 
 
 def test_exact_depth_at_answers_from_its_view(monkeypatch):
-    """After the first call the cover's bicliques are not walked again: the
+    """After the first call the cover's columns are not read again: the
     rank-space view is built once and answers every later query."""
     ps = small_uniform(90, 6)
     cov = build_cover(ps)
@@ -497,12 +497,10 @@ def test_exact_depth_at_answers_from_its_view(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact_depth_at re-derived biclique sides")
 
-    class Unwalkable(list):
-        def __iter__(self):
-            raise AssertionError("exact_depth_at looped over the bicliques")
-
     monkeypatch.setattr(boxrig.depth, "_cover_cells", refuse)
-    monkeypatch.setattr(cov, "bicliques", Unwalkable(cov.bicliques))
+    monkeypatch.setattr(boxrig.depth, "_SideRanks", refuse)
+    for column in ("sides", "starts", "anti"):
+        monkeypatch.setattr(cov, column, None)    # unreadable from here on
     assert [exact_depth_at(cov, ps, q) for q in qs] == truths
     assert cov._side_ranks[1] is view
 
