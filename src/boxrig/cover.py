@@ -123,56 +123,24 @@ class BicliqueCover:
 
 
 def _tree_nodes(units: int):
-    """Balanced binary tree over [0, units), numbered in pre-order (a
-    parent precedes its children, a left subtree precedes the right)."""
-    lo: list[int] = []
-    hi: list[int] = []
-    lc: list[int] = []
-    rc: list[int] = []
-    todo = [(0, units, -1, lc)]   # (a, b, parent, parent's child list)
-    while todo:
-        a, b, parent, side = todo.pop()
-        idx = len(lo)
-        if parent >= 0:
-            side[parent] = idx
-        lo.append(a)
-        hi.append(b)
-        lc.append(-1)
-        rc.append(-1)
-        if b - a > 1:
-            m = (a + b) // 2
-            todo.append((m, b, idx, rc))
-            todo.append((a, m, idx, lc))
-    return lo, hi, lc, rc
-
-
-def _distribute(by_x, rank_unit, lo, lc, rc):
-    """Split the x-sorted ids down the tree (stable, so every node's ids
-    stay x-sorted).  Numpy id arrays with one mask per internal node: the
-    split costs O(n) numpy work per tree level, not a Python loop."""
-    node_ids = [None] * len(lo)
-    node_ids[0] = np.asarray(by_x, dtype=np.int64)
-    rank_unit = np.asarray(rank_unit, dtype=np.int64)
-    for idx in range(len(lo)):
-        l, r = lc[idx], rc[idx]
-        if l == -1:
-            continue
-        ids = node_ids[idx]
-        left = rank_unit[ids] < lo[r]
-        node_ids[l] = ids[left]
-        node_ids[r] = ids[~left]
-    return node_ids
-
-
-def _bfs_order(lc, rc):
-    """Node ids level by level, and every node's depth."""
-    order = [0]
-    depth = [0] * len(lc)
-    for idx in order:             # the list grows while it is walked
-        if lc[idx] != -1:
-            depth[lc[idx]] = depth[rc[idx]] = depth[idx] + 1
-            order += (lc[idx], rc[idx])
-    return order, depth
+    """Balanced binary tree over [0, units), built level by level.  Node
+    ids are in pre-order (a parent precedes its children, a left subtree
+    precedes the right, so the right child of a node over [a, b) split at
+    m is 2 * (m - a) ids after it).  Returns lo, hi, lc, rc (-1: none) per
+    node, the ids level by level from the left, and every node's depth."""
+    lo, hi, lc, rc, depth = (np.full(2 * units - 1, -1, dtype=np.int64) for _ in range(5))
+    a, b, idx = np.array([0]), np.array([units]), np.array([0])
+    order = []
+    while len(idx):
+        lo[idx], hi[idx], depth[idx] = a, b, len(order)
+        order.append(idx)
+        inner = b - a > 1
+        a, b, idx = a[inner], b[inner], idx[inner]
+        m = (a + b) // 2
+        lc[idx], rc[idx] = idx + 1, idx + 2 * (m - a)
+        a, b = np.column_stack((a, m)).ravel(), np.column_stack((m, b)).ravel()
+        idx = np.column_stack((lc[idx], rc[idx])).ravel()
+    return lo, hi, lc, rc, np.concatenate(order), depth
 
 
 class _Strips(NamedTuple):
@@ -181,6 +149,7 @@ class _Strips(NamedTuple):
     in lane; ``down`` maps an internal node's entry to the entry of the
     same lane in the child holding it (-1 in leaves)."""
 
+    lc: np.ndarray        # left child of each node, -1 in leaves
     lanes: np.ndarray
     node: np.ndarray
     seg: np.ndarray       # first entry of each entry's segment
@@ -194,40 +163,104 @@ class _Strips(NamedTuple):
     bounds: np.ndarray    # entries [bounds[d], bounds[d + 1]) lie at depth d
 
 
-def _strips(unit, lo, lc, rc) -> _Strips:
-    """Lay out the tree over lanes 0..len(unit)-1; the upper half of the
-    lanes is the second orientation, in its own segment of every node."""
-    order, depth = _bfs_order(lc, rc)
-    node_lanes = _distribute(np.arange(len(unit)), unit, lo, lc, rc)
-    lanes = np.concatenate([node_lanes[u] for u in order])
-    count = np.array([len(ids) for ids in node_lanes])
+def _strips(unit, units: int) -> _Strips:
+    """Lay out the tree over rank units [0, units) (_tree_nodes) on lanes
+    0..len(unit)-1; the upper half of the lanes is the second orientation,
+    in its own segment of every node.  Built level by level: a level's
+    split sends each entry ``down``, which places the lanes of the next
+    level.  Per-node values reach the entries by repeats over the level's
+    nodes, not by gathers over all entries."""
+    lo, hi, lc, rc, order, depth = _tree_nodes(units)
+    edges = np.r_[0, np.cumsum(np.bincount(unit, minlength=units))]
+    count = edges[hi] - edges[lo]
     off = np.empty(len(lo), dtype=np.int64)
     off[order] = np.cumsum(count[order]) - count[order]
     node = np.repeat(order, count[order])
-    base = off[node]
-    seg = base + (lanes >= len(unit) // 2) * (count // 2)[node]
-    lc, rc = np.asarray(lc), np.asarray(rc)
-    inner = lc[node] != -1
-    left = inner & (unit[lanes] < np.asarray(lo)[rc[node]])
-    right = inner & ~left
-    ahead = np.cumsum(left) - left
-    ahead -= ahead[base]
-    down = np.where(left, off[lc[node]] + ahead,
-                    off[rc[node]] + np.arange(len(lanes)) - base - ahead)
-    down[~inner] = -1
-    depth = np.asarray(depth)
-    bounds = np.searchsorted(depth[node], np.arange(depth.max() + 2))
-    return _Strips(lanes, node, seg, left, right, ahead, down, off, count,
+    levels = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+    bounds = np.r_[off[order], len(node)][levels]
+    lanes = np.empty(len(node), dtype=np.int64)
+    lanes[:len(unit)] = np.arange(len(unit))
+    seg = np.empty(len(node), dtype=np.int64)
+    left = np.zeros(len(node), dtype=bool)
+    right = np.zeros(len(node), dtype=bool)
+    ahead = np.zeros(len(node), dtype=np.int64)
+    down = np.full(len(node), -1, dtype=np.int64)
+    half = len(unit) // 2
+    for d in range(len(levels) - 1):
+        a, b = bounds[d], bounds[d + 1]
+        us = order[levels[d]:levels[d + 1]]
+        z = count[us]
+        at = np.repeat(off[us] - a, z)          # node start, in the level
+        ln = lanes[a:b]
+        seg[a:b] = at + a + (ln >= half) * np.repeat(z // 2, z)
+        inn = np.repeat(lc[us] != -1, z)
+        if not inn.any():
+            continue
+        left[a:b] = lf = inn & (unit[ln] < np.repeat(lo[rc[us]], z))
+        right[a:b] = inn & ~lf
+        ah = np.cumsum(lf) - lf
+        ahead[a:b] = ah = ah - ah[at]
+        dn = np.where(lf, np.repeat(off[lc[us]], z) + ah,
+                      np.repeat(off[rc[us]], z) + np.arange(b - a) - at - ah)
+        down[a:b][inn] = dn[inn]
+        lanes[dn[inn]] = ln[inn]
+    return _Strips(lc, lanes, node, seg, left, right, ahead, down, off, count,
                    depth, bounds)
 
 
-def _query_pairs(st: _Strips, lc):
+def _query_pairs(st: _Strips):
     """The prefix decomposition as pairs: a member of a node's right child
     queries its left child, whose members ahead of it in x are a prefix of
     that strip.  Returns the querying entries and, per query, the entry of
     the last strip member ahead of it."""
     q = np.flatnonzero(st.right & (st.ahead > st.ahead[st.seg]))
-    return q, st.off[np.asarray(lc)[st.node[q]]] + st.ahead[q] - 1
+    return q, st.off[st.lc[st.node[q]]] + st.ahead[q] - 1
+
+
+def _place(st: _Strips, a: int) -> int:
+    """Output place of the strip whose segment starts at entry a: the
+    dominance strips first, each orientation's in node order."""
+    u = int(st.node[a])
+    return (a != int(st.off[u])) * len(st.off) + u
+
+
+def _canonical_runs(stacks, hits, split: int):
+    """The runs (_pack) of the canonical parts: one biclique per canonical
+    set a query hit, its left side the set's payloads, its right side the
+    hitting points in hit order.  stacks: (place, stack) pairs; hits: the
+    stack index, canonical id and point of every hit, in hit order.
+    Bicliques follow their stack's place, then their first hit; places
+    below split make the dominance run, the others the anti run."""
+    hs, hc, hp = (np.asarray(h, dtype=np.int64) for h in hits)
+    pay, start, trees, weight = [], [], [], []
+    for _, stack in stacks:
+        p, s = stack.canonical_columns()
+        pay += p
+        start += s
+        trees.append(len(s))
+        weight.append(len(p))
+    trees, weight = (np.asarray(c, dtype=np.int64) for c in (trees, weight))
+    # every tree's run of pay: the stacks' storages laid end to end
+    start = np.asarray(start, dtype=np.int64) + np.repeat(np.cumsum(weight) - weight, trees)
+    size = np.diff(start, append=len(pay))
+    place = np.repeat(np.array([pl for pl, _ in stacks], dtype=np.int64), trees)
+    # group the hits by tree, the trees by place, then first hit
+    tree = np.cumsum(trees)[hs] - trees[hs] + hc
+    first = np.full(len(size), len(tree), dtype=np.int64)
+    np.minimum.at(first, tree, np.arange(len(tree)))
+    order = np.argsort(place[tree] * (len(tree) + 1) + first[tree], kind="stable")
+    tree = tree[order]
+    lead = np.flatnonzero(np.diff(tree, prepend=-1))
+    g = tree[lead]
+    # each biclique's left side (off pay), then its right side (off hp)
+    src = np.concatenate([np.asarray(pay, dtype=np.int64), hp[order]])
+    at = np.column_stack((start[g], len(pay) + lead)).ravel()
+    sizes = np.column_stack((size[g], np.diff(lead, append=len(tree)))).ravel()
+    out = np.cumsum(sizes) - sizes
+    ids = src[np.repeat(at - out, sizes) + np.arange(int(sizes.sum()))]
+    cut = 2 * int(np.searchsorted(place[g], split))
+    end = int(out[cut]) if cut < len(out) else len(ids)
+    return [(ids[:end], sizes[:cut], False), (ids[end:], sizes[cut:], True)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +275,29 @@ def _layers(sxs: list, nys: list, pts: list, k: int, floor):
     after each arrival, floor while the layer is empty); layers that would
     stay empty are left out."""
     stack = RangeStack(len(pts))
+    arrive = stack.replace_top
     keys: list = []        # members' -y, ascending == stack order
     pos: list[int] = []    # members' positions in the strip (k > 0 only)
-    steps: list[int] = []
     carries: list = []     # what each arrival pops, for the next layer
-    for i in range(len(pts)):
-        j = bisect_right(keys, nys[i])
-        popped = len(keys) - j
-        if popped:
+    for i, (sx, ny, pt) in enumerate(zip(sxs, nys, pts)):
+        j = bisect_right(keys, ny)
+        if j < len(keys):
+            arrive(len(keys) - j, sx, pt)
             del keys[j:]
+        else:
+            arrive(0, sx, pt)
         if k:
             carries.append(pos[j:])
             del pos[j:]
             pos.append(i)
-        steps.append(stack.replace_top(popped, sxs[i], pts[i]))
-        keys.append(nys[i])
-    layers = [(stack, steps, sxs)]      # layer 0's top is the arrival itself
+        keys.append(ny)
+    # arrival i is step i + 1; layer 0's top is the arrival itself
+    layers = [(stack, range(1, len(pts) + 1), sxs)]
     for deeper in range(k - 1, -1, -1):
         if not any(carries):
             break
         stack = RangeStack(len(pts))
+        arrive, push = stack.replace_top, stack.push
         keys, pos, steps = [], [], []
         tops: list = []
         lost: list = []
@@ -282,9 +318,9 @@ def _layers(sxs: list, nys: list, pts: list, k: int, floor):
                 del keys[j:], pos[j:]
             if carry:
                 # the pops and the first push are one recorded arrival
-                step = stack.replace_top(popped, sxs[carry[0]], pts[carry[0]])
+                step = arrive(popped, sxs[carry[0]], pts[carry[0]])
                 for e in carry[1:]:
-                    step = stack.push(sxs[e], pts[e])
+                    step = push(sxs[e], pts[e])
                 keys += [nys[e] for e in carry]
                 pos += carry
             else:
@@ -318,10 +354,9 @@ def _leveled(ps: PointSet, k: int):
     key.append(min(key) - 1)
     yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
     nys = (-yr).tolist()
-    lo, hi, lc, rc = _tree_nodes(n)
-    st = _strips(yr, lo, lc, rc)
+    st = _strips(yr, n)
     lanes = st.lanes
-    q_ent, s_ent = _query_pairs(st, lc)
+    q_ent, s_ent = _query_pairs(st)
     q = lanes[q_ent]
     seg = st.seg[s_ent]
     row = len(st.bounds) - 2 - st.depth[st.node[q_ent]]   # 1: deepest
@@ -343,50 +378,38 @@ def _leveled(ps: PointSet, k: int):
     mark = np.full(len(lanes), -1, dtype=np.int64)
     mark[s_ent[live]] = s_ent[live]
     starts = np.flatnonzero(np.diff(st.seg, prepend=-1))    # every segment
-    strips = {}     # segment start -> layers, up to the last entry read
+    strips = {}     # segment start -> (its first stack, layers up to the
+    stacks = []     # last entry read); every layer's stack, with its place
     for a, b in zip(starts.tolist(), (np.maximum.reduceat(mark, starts) + 1).tolist()):
         if b:
             ls = lanes[a:b].tolist()
-            strips[a] = _layers([key[x] for x in ls], [nys[x] for x in ls],
-                                [pid[x] for x in ls], k, key[-1])
+            layers = _layers([key[x] for x in ls], [nys[x] for x in ls],
+                             [pid[x] for x in ls], k, key[-1])
+            strips[a] = (len(stacks), layers)
+            stacks += [(_place(st, a), stack) for stack, _, _ in layers]
 
-    # strip by strip, a registry fills in lane order (x order within an
-    # orientation) and keys a canonical set by cid * (k + 1) + layer
+    # strip by strip, queries in lane order (x order within an orientation)
     live = live[np.lexsort((q[live], seg[live]))]
-    regs_at = {}
+    hits = ([], [], [])
+    hs, hc, hp = hits
     cur = -1
     for p, a, t, cl in zip(np.asarray(pid)[q[live]].tolist(),
                            seg[live].tolist(),
                            (s_ent - seg)[live].tolist(),
                            cuts[live].tolist()):
         if a != cur:
-            cur, reg, layers = a, regs_at.setdefault(a, {}), strips[a]
+            cur, (si, layers) = a, strips[a]
         lev = 0
         for stack, steps, tops in layers:
             cut = key[cl[k - lev]]
             if tops[t] > cut:       # else nothing in the layer lies past it
                 canons, elems = stack.suffix_at(steps[t], cut)
                 assert not elems    # unbuffered stacks are block-exact
-                for cid in canons:
-                    lst = reg.get(cid * (k + 1) + lev)
-                    if lst is None:
-                        reg[cid * (k + 1) + lev] = [p]
-                    else:
-                        lst.append(p)
+                hs += [si + lev] * len(canons)
+                hc += canons
+                hp += [p] * len(canons)
             lev += 1
-    runs = []
-    off, half = st.off.tolist(), (st.count // 2).tolist()
-    for o in (0, 1):
-        ids, sizes = [], []
-        for u in sorted(u for u in lc if u != -1):
-            a = off[u] + o * half[u]
-            for lk, regs in regs_at.get(a, {}).items():
-                cid, lev = divmod(lk, k + 1)
-                left = strips[a][lev][0].canonical_payloads(cid)
-                ids += left + regs
-                sizes += (len(left), len(regs))
-        runs.append((ids, sizes, o == 1))
-    return runs
+    return _canonical_runs(stacks, hits, len(st.off))
 
 
 # ---------------------------------------------------------------------------
@@ -396,33 +419,37 @@ _SCAN_ROWS = 8192   # leaf-scan rows per chunk: bounds the (rows x tau) matrices
 
 
 def _leaf_scan(st: _Strips, yr, tau, below, cut):
-    """Each lane's lower-left maxima inside its own leaf, off a (lanes x
-    tau) window of the leaf members ahead of it, nearest first.  Fills the
-    leaf links and each lane's cut (its nearest maximum); returns the
-    (query lane, member lane) pairs packed as query * 2n + member."""
+    """Each lane's lower-left maxima inside its own leaf, off a window of
+    the leaf members ahead of it, nearest first.  Fills the leaf links and
+    each lane's cut (its nearest maximum); returns the (query lane, member
+    lane) pairs packed as query * 2n + member.  Rows go in order of their
+    position in the leaf, so a chunk's window is only as wide as its
+    farthest row reaches."""
     leaf = np.flatnonzero(st.down == -1)   # leaves' segments, contiguous
     lanes = st.lanes[leaf]
     pos = leaf - st.seg[leaf]
     ys = yr[lanes].astype(np.int32)
     w = tau - 1                            # a leaf holds at most tau lanes
-    ks = np.arange(w)
     window = sliding_window_view(np.r_[np.full(w, -1, np.int32), ys], w)[:, ::-1]
+    by_pos = np.argsort(pos, kind="stable")
     out = []
     for a in range(0, len(leaf), _SCAN_ROWS):
-        b = min(a + _SCAN_ROWS, len(leaf))
-        ok = ks < pos[a:b, None]
-        qy = ys[a:b, None]
-        higher = ok & (window[a:b] > qy)
+        idx = by_pos[a:a + _SCAN_ROWS]
+        reach = max(int(pos[idx[-1]]), 1)
+        win = window[idx, :reach]
+        ok = np.arange(reach) < pos[idx, None]
+        qy = ys[idx, None]
+        higher = ok & (win > qy)
         k = higher.argmax(1)
-        below[leaf[a:b]] = np.where(higher[np.arange(b - a), k], leaf[a:b] - 1 - k, -1)
-        lower = np.where(ok & (window[a:b] < qy), window[a:b], -1)
+        below[leaf[idx]] = np.where(higher[np.arange(len(idx)), k], leaf[idx] - 1 - k, -1)
+        lower = np.where(ok & (win < qy), win, -1)
         prev = np.full_like(lower, -1)
         np.maximum.accumulate(lower[:, :-1], axis=1, out=prev[:, 1:])
-        rows, cols = np.divmod(np.flatnonzero(lower > prev), w)
-        rows += a
+        r, cols = np.divmod(np.flatnonzero(lower > prev), reach)
+        rows = idx[r]
         got = lanes[rows - 1 - cols]
         out.append(lanes[rows] * len(cut) + got)
-        first = np.flatnonzero(np.diff(rows, prepend=-1))   # nearest taken
+        first = np.flatnonzero(np.diff(r, prepend=-1))   # nearest taken
         cut[lanes[rows[first]]] = got[first]
     return out
 
@@ -459,12 +486,12 @@ def _chain_sizes(below, entries):
     return size
 
 
-def _strip_stacks(st: _Strips, lc, below, pid):
+def _strip_stacks(st: _Strips, below, pid):
     """Buffered stacks, keyed by segment start, for the strips (internal
     left children) whose maxima chain outgrows the stack buffer: (stack,
-    epoch after each arrival, registry).  Every other strip answers by
-    walking its links."""
-    lc = np.asarray(lc)
+    epoch after each arrival).  Every other strip answers by walking its
+    links."""
+    lc = st.lc
     strip = np.zeros(len(lc), dtype=bool)
     strip[lc[lc != -1]] = True
     strip &= lc != -1
@@ -472,20 +499,20 @@ def _strip_stacks(st: _Strips, lc, below, pid):
     starts = np.flatnonzero(np.diff(st.seg, prepend=-1))
     longest = np.zeros(len(st.lanes), dtype=np.int64)
     longest[starts] = np.maximum.reduceat(size, starts)
+    us = np.flatnonzero(strip)
+    halves = st.count[us] // 2
+    limit = [RangeStack.buffer_limit(h) for h in halves.tolist()]
+    segs = np.column_stack((st.off[us], st.off[us] + halves))   # both orientations
+    outgrow = longest[segs] > np.array(limit, dtype=np.int64)[:, None]
     stacks = {}
-    for u in np.flatnonzero(strip).tolist():
-        half = int(st.count[u]) // 2
-        limit = RangeStack.buffer_limit(half)
-        for a in (int(st.off[u]), int(st.off[u]) + half):
-            if longest[a] <= limit:
-                continue
-            sz = size[a:a + half].tolist()
-            # each arrival pops the chain suffix it dominates
-            pops = [p + 1 - s for p, s in zip([0] + sz[:-1], sz)]
-            lanes = st.lanes[a:a + half]
-            stack = RangeStack(half, buffered=True)
-            epochs = stack.run_monotone_script(lanes.tolist(), pid[lanes].tolist(), pops)
-            stacks[a] = (stack, epochs, {})
+    for a, half in zip(segs[outgrow].tolist(), np.repeat(halves, outgrow.sum(1)).tolist()):
+        sz = size[a:a + half].tolist()
+        # each arrival pops the chain suffix it dominates
+        pops = [p + 1 - s for p, s in zip([0] + sz[:-1], sz)]
+        lanes = st.lanes[a:a + half]
+        stack = RangeStack(half, buffered=True)
+        epochs = stack.run_monotone_script(lanes.tolist(), pid[lanes].tolist(), pops)
+        stacks[a] = (stack, epochs)
     return stacks
 
 
@@ -521,19 +548,18 @@ def _compact_pairs(ps: PointSet, pid):
     are packed."""
     n = ps.n
     tau = 3 * max(1, (n - 1).bit_length())
-    lo, hi, lc, rc = _tree_nodes((n + tau - 1) // tau)
     yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
-    st = _strips(yr // tau, lo, lc, rc)
+    st = _strips(yr // tau, (n + tau - 1) // tau)
     lanes = st.lanes
     below = np.empty(len(lanes), dtype=np.int64)    # nearest earlier higher
     leaf_cut = np.full(2 * n, -1, dtype=np.int64)   # -1: below every lane
     star = _leaf_scan(st, yr, tau, below, leaf_cut)   # packed star pairs
     _inner_links(st, below)
-    stacks = _strip_stacks(st, lc, below, pid)
+    stacks = _strip_stacks(st, below, pid)
 
     # each query's cut before a strip: the running maximum, deepest strip
     # first, of the last lane of every deeper strip, seeded by its leaf
-    q_ent, s_ent = _query_pairs(st, lc)
+    q_ent, s_ent = _query_pairs(st)
     q = lanes[q_ent]
     last = lanes[s_ent]
     levels = len(st.bounds) - 2
@@ -562,14 +588,17 @@ def _compact_pairs(ps: PointSet, pid):
     sel = np.flatnonzero(live & stacked)
     sel = sel[np.argsort(q[sel], kind="stable")]
     held = []                           # buffered answers, packed
-    for qq, s, a, rr in zip(q[sel].tolist(), s_ent[sel].tolist(),
-                            st.seg[s_ent[sel]].tolist(), r[sel].tolist()):
-        stack, epochs, reg = stacks[a]
+    hits = ([], [], [])
+    hs, hc, hp = hits
+    index = {a: i for i, a in enumerate(stacks)}
+    for p, qq, s, a, rr in zip(pid[q[sel]].tolist(), q[sel].tolist(),
+                               s_ent[sel].tolist(), st.seg[s_ent[sel]].tolist(),
+                               r[sel].tolist()):
+        stack, epochs = stacks[a]
         canons, elems = stack.suffix_at(epochs[s - a], rr)
-        if canons:
-            p = int(pid[qq])
-            for cid in canons:
-                reg.setdefault(cid, []).append(p)
+        hs += [index[a]] * len(canons)
+        hc += canons
+        hp += [p] * len(canons)
         held += [qq * (2 * n) + key for key, _ in elems]
     star.append(np.array(held, dtype=np.int64))
 
@@ -577,19 +606,8 @@ def _compact_pairs(ps: PointSet, pid):
     # then by member
     pairs = np.concatenate(star)
     pairs.sort()
-    runs = []
-    for o in (0, 1):
-        ids, sizes = [], []
-        for u in range(len(lo)):
-            a = int(st.off[u]) + o * (int(st.count[u]) // 2)
-            if a in stacks:
-                stack, _, reg = stacks[a]
-                for cid, regs in reg.items():
-                    left = stack.canonical_payloads(cid)
-                    ids += left + regs
-                    sizes += (len(left), len(regs))
-        runs.append((ids, sizes, o == 1))
-    return pairs, runs
+    return pairs, _canonical_runs([(_place(st, a), stack) for a, (stack, _)
+                                   in stacks.items()], hits, len(st.off))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class RangeStack:
     unbuffered variant uses single-element blocks and no buffer."""
 
     __slots__ = ("block", "tau", "buffered", "_ekeys", "_epayload",
-                 "_t_rank", "_t_start", "_t_lorig", "_t_rorig",
+                 "_t_rank", "_t_start", "_t_orig",
                  "_fhead", "_bhead", "_buffer_len", "_size",
                  "_top", "_v_forest", "_v_buffer", "_v_size")
 
@@ -55,15 +55,16 @@ class RangeStack:
         # created trees (canonical sets)
         self._t_rank: list[int] = []   # block-level rank; size = (1<<rank)*block
         self._t_start: list[int] = []
-        self._t_lorig: list[int] = []  # origin tree ids of the two copied halves
-        self._t_rorig: list[int] = []
+        # origin tree ids of the two copied halves, for merged trees only
+        self._t_orig: dict[int, tuple[int, int]] = {}
         # live state (immutable chains; mutation rebinds the heads)
         self._fhead: tuple | None = None          # (tree_id, next), top first
         self._bhead: tuple | None = None          # (key, payload, next), newest first
         self._buffer_len = 0
         self._size = 0
         self._top = None
-        # history, three parallel arrays; index 0 is the empty initial state
+        # history, parallel arrays (the buffer's only when buffered); index 0
+        # is the empty initial state
         self._v_forest: list = [None]
         self._v_buffer: list = [None]
         self._v_size: list[int] = [0]
@@ -107,7 +108,10 @@ class RangeStack:
 
     def buffer_items(self, t: int | None = None) -> list:
         """Buffer (key, payload) pairs oldest -> newest at step t."""
-        head = self._bhead if t is None else self._v_buffer[t]
+        if t is not None:
+            head = self._v_buffer[t] if self.buffered else None
+        else:
+            head = self._bhead
         out = []
         while head is not None:
             out.append((head[0], head[1]))
@@ -124,36 +128,37 @@ class RangeStack:
         s = self._t_start[cid]
         return self._epayload[s:s + self._tree_size(cid)]
 
+    def canonical_columns(self) -> tuple[list, list]:
+        """(payloads, starts) of the created trees.  Each tree copies its
+        run to the end of the storage when it is created, so tree cid holds
+        payloads[starts[cid]:starts[cid + 1]], the last one up to the end."""
+        return self._epayload, self._t_start
+
     def _tree_size(self, tid: int) -> int:
         return (1 << self._t_rank[tid]) * self.block
 
-    def _top_key(self):
-        """Key of the topmost element (stack must be non-empty)."""
-        if self._bhead is not None:
-            return self._bhead[0]
-        tid = self._fhead[0]
-        return self._ekeys[self._t_start[tid] + self._tree_size(tid) - 1]
-
     # -- tree creation ------------------------------------------------------
 
-    def _new_tree(self, rank: int, lorig: int, rorig: int) -> int:
-        self._t_rank.append(rank)
-        self._t_start.append(len(self._ekeys) - (1 << rank) * self.block)
-        self._t_lorig.append(lorig)
-        self._t_rorig.append(rorig)
+    def _new_block(self) -> int:
+        """A rank-0 tree over the last block of the storage."""
+        self._t_rank.append(0)
+        self._t_start.append(len(self._ekeys) - self.block)
         return len(self._t_rank) - 1
 
     def _merge(self, a: int, b: int) -> int:
         """Deep-copy both halves into a fresh canonical run; the new tree's
         internal nodes share content with the originals via origin links."""
-        ek, ep = self._ekeys, self._epayload
-        sa, sb = self._t_start[a], self._t_start[b]
-        za, zb = self._tree_size(a), self._tree_size(b)
-        ek.extend(ek[sa:sa + za])
-        ep.extend(ep[sa:sa + za])
-        ek.extend(ek[sb:sb + zb])
-        ep.extend(ep[sb:sb + zb])
-        return self._new_tree(self._t_rank[a] + 1, a, b)
+        ek, ep, starts, ranks = self._ekeys, self._epayload, self._t_start, self._t_rank
+        sa, sb = starts[a], starts[b]
+        z = self.block << ranks[a]          # both halves have a's rank
+        starts.append(len(ek))
+        ek += ek[sa:sa + z]
+        ep += ep[sa:sa + z]
+        ek += ek[sb:sb + z]
+        ep += ep[sb:sb + z]
+        ranks.append(ranks[a] + 1)
+        self._t_orig[len(ranks) - 1] = (a, b)
+        return len(ranks) - 1
 
     def _insert_tree(self, tid: int):
         """Append a rank-0 tree on top, then merge the two trees below the
@@ -186,12 +191,6 @@ class RangeStack:
         Returns the step index of this operation."""
         return self._arrive(0, key, payload)
 
-    def replace_top(self, count: int, key, payload=None) -> int:
-        """Pop `count` elements, then push one, recorded as a single step:
-        the combined arrival event of a point that dominates `count` chain
-        elements.  Equivalent to pop(count) followed by push(key, payload)
-        except that only the final state is recorded."""
-        return self._arrive(count, key, payload)
 
     def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
         """Bulk arrivals for the buffered variant: for each i, pop
@@ -211,9 +210,13 @@ class RangeStack:
             out.append(arrive(popcounts[i], k, payloads[i]))
         return out
 
-    def _arrive(self, count: int, key, payload) -> int:
-        """The one arrival step: pop `count`, push (key, payload), record
-        the new version.  Returns its step index."""
+    def replace_top(self, count: int, key, payload=None) -> int:
+        """Pop `count` elements, then push one, recorded as a single step:
+        the combined arrival event of a point that dominates `count` chain
+        elements.  Equivalent to pop(count) followed by push(key, payload)
+        except that only the final state is recorded.  This is the one
+        arrival step (``_arrive``), so push and the bulk scripts share it;
+        returns its step index."""
         if count:
             self._pop_body(count)
         if self._size and key <= self._top:
@@ -225,7 +228,7 @@ class RangeStack:
             if self._buffer_len > self.tau:
                 self._flush()
         else:
-            # a rank-0 tree of its own (_new_tree, inlined: this is the
+            # a rank-0 tree of its own (_new_block, inlined: this is the
             # arrival of every unbuffered build), cascading only when the
             # two trees below it have rank 0 too
             ek, ranks = self._ekeys, self._t_rank
@@ -234,8 +237,6 @@ class RangeStack:
             tid = len(ranks)
             ranks.append(0)
             self._t_start.append(len(ek) - 1)
-            self._t_lorig.append(-1)
-            self._t_rorig.append(-1)
             head = self._fhead
             if head is None or head[1] is None or ranks[head[0]] or ranks[head[1][0]]:
                 self._fhead = (tid, head)
@@ -243,10 +244,13 @@ class RangeStack:
                 self._insert_tree(tid)
         self._size += 1
         self._v_forest.append(self._fhead)
-        self._v_buffer.append(self._bhead)
+        if self.buffered:
+            self._v_buffer.append(self._bhead)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
+
+    _arrive = replace_top       # the untraced name the other arrivals call
 
     def _flush(self):
         """Move the oldest `block` buffer elements into one canonical block.
@@ -265,14 +269,15 @@ class RangeStack:
             head = (k, p, head)
         self._bhead = head
         self._buffer_len = keep
-        self._insert_tree(self._new_tree(0, -1, -1))
+        self._insert_tree(self._new_block())
 
     def pop(self, k: int) -> int:
         """Remove the top k elements; O(log n) plus any block re-buffering."""
         if k:
             self._pop_body(k)
         self._v_forest.append(self._fhead)
-        self._v_buffer.append(self._bhead)
+        if self.buffered:
+            self._v_buffer.append(self._bhead)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
@@ -290,8 +295,9 @@ class RangeStack:
             self._buffer_len -= drop
             remaining -= drop
         head = self._fhead
+        ranks, block = self._t_rank, self.block
         while remaining:
-            z = self._tree_size(head[0])
+            z = block << ranks[head[0]]
             if remaining < z:
                 break
             remaining -= z
@@ -299,8 +305,7 @@ class RangeStack:
         if remaining:
             tid = head[0]
             head = head[1]
-            keep = self._tree_size(tid) - remaining
-            kb, rem = divmod(keep, self.block)
+            kb, rem = divmod((block << ranks[tid]) - remaining, block)
             for t in self._prefix_subtrees(tid, kb):
                 head = (t, head)
             if rem:
@@ -313,18 +318,24 @@ class RangeStack:
                 self._buffer_len = rem
         self._fhead = head
         self._size -= k
-        self._top = self._top_key() if self._size else None
+        if not self._size:
+            self._top = None
+        elif self._bhead is not None:
+            self._top = self._bhead[0]
+        else:
+            tid = head[0]
+            self._top = self._ekeys[self._t_start[tid] + (block << ranks[tid]) - 1]
 
     def _origin(self, tid: int, block_off: int, rank: int) -> int:
         """Tree id whose run equals the subtree at (block_off, rank) of tid."""
-        ranks, lor, ror = self._t_rank, self._t_lorig, self._t_rorig
+        ranks, orig = self._t_rank, self._t_orig
         while ranks[tid] > rank:
             half = 1 << (ranks[tid] - 1)
             if block_off < half:
-                tid = lor[tid]
+                tid = orig[tid][0]
             else:
                 block_off -= half
-                tid = ror[tid]
+                tid = orig[tid][1]
         return tid
 
     def _prefix_subtrees(self, tid: int, kb: int) -> list[int]:
@@ -356,7 +367,7 @@ class RangeStack:
         and stop below lo.  Collects key-descending, returns ascending."""
         canons: list[int] = []
         elems: list = []
-        node = self._v_buffer[t]
+        node = self._v_buffer[t] if self.buffered else None
         while node is not None:
             key = node[0]
             if key < lo or strict_lo and key == lo:
@@ -422,7 +433,7 @@ class RangeStack:
         """Canonical cover of full-block range [blo, bhi) inside tid; the
         emitted handles are the origin trees the copies were made from,
         left to right."""
-        lor, ror = self._t_lorig, self._t_rorig
+        orig = self._t_orig
         todo = [(0, self._t_rank[tid], tid)]   # (block offset, rank, origin)
         while todo:
             off, rank, origin = todo.pop()
@@ -431,5 +442,6 @@ class RangeStack:
                 canons.append(origin)
             elif off < bhi and blo < end:
                 half = 1 << (rank - 1)
-                todo.append((off + half, rank - 1, ror[origin]))
-                todo.append((off, rank - 1, lor[origin]))
+                lo_half, hi_half = orig[origin]
+                todo.append((off + half, rank - 1, hi_half))
+                todo.append((off, rank - 1, lo_half))
