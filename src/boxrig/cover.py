@@ -267,13 +267,13 @@ def _canonical_runs(stacks, hits, split: int):
 # leveled pipeline (basic cover and k-level cover)
 
 
-def _layers(sxs: list, nys: list, pts: list, k: int, floor):
+def _layers(sxs: list, nys: list, pts: list, k: int):
     """The k + 1 maxima layers of one strip, built one layer at a time: at
     arrival i a layer pops the staircase suffix the arriving point
     dominates, then pushes its carry: i itself on layer 0, on layer j + 1
-    what layer j lost at arrival i.  Per layer: (stack, step and top key
-    after each arrival, floor while the layer is empty); layers that would
-    stay empty are left out."""
+    what layer j lost at arrival i.  Keys are lanes.  Per layer: (stack,
+    step and top lane after each arrival, -1 while the layer is empty);
+    layers that would stay empty are left out."""
     stack = RangeStack(len(pts))
     arrive = stack.replace_top
     keys: list = []        # members' -y, ascending == stack order
@@ -301,7 +301,7 @@ def _layers(sxs: list, nys: list, pts: list, k: int, floor):
         keys, pos, steps = [], [], []
         tops: list = []
         lost: list = []
-        step, top = 0, floor
+        step, top = 0, -1
         for i, carry in enumerate(carries):
             if not carry and (not keys or keys[-1] <= nys[i]):
                 # an idle arrival: nothing to pop, nothing to push
@@ -325,7 +325,7 @@ def _layers(sxs: list, nys: list, pts: list, k: int, floor):
                 pos += carry
             else:
                 step = stack.pop(popped)
-            top = sxs[pos[-1]] if pos else floor
+            top = sxs[pos[-1]] if pos else -1
             steps.append(step)
             tops.append(top)
         layers.append((stack, steps, tops))
@@ -345,15 +345,11 @@ def _leveled(ps: PointSet, k: int):
     the (k + 1 - j)-th highest.  A strip's stacks are built only as far as
     the queries that can find something in them read."""
     n = ps.n
-    xs = ps.xs
     by_x = list(ps.by_x)
-    pid = by_x + by_x[::-1]                     # point of each lane
-    # pipeline x of each lane (the anti lanes run on reflected x), and at
-    # lane -1 a key below all of them
-    key = [xs[p] for p in by_x] + [-xs[p] for p in reversed(by_x)]
-    key.append(min(key) - 1)
+    pid = np.asarray(by_x + by_x[::-1])         # point of each lane
+    # stacks are keyed by lane: within an orientation, lane order is
+    # pipeline x order, and lane -1 lies below every lane
     yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
-    nys = (-yr).tolist()
     st = _strips(yr, n)
     lanes = st.lanes
     q_ent, s_ent = _query_pairs(st)
@@ -378,37 +374,44 @@ def _leveled(ps: PointSet, k: int):
     mark = np.full(len(lanes), -1, dtype=np.int64)
     mark[s_ent[live]] = s_ent[live]
     starts = np.flatnonzero(np.diff(st.seg, prepend=-1))    # every segment
-    strips = {}     # segment start -> (its first stack, layers up to the
-    stacks = []     # last entry read); every layer's stack, with its place
+    first = np.zeros(len(lanes), dtype=np.int64)    # a strip's first stack
+    layered = np.zeros(len(lanes), dtype=np.int64)  # and its layer count
+    stacks = []             # every layer's (place, stack)
+    steps, tops = [], []    # every layer's step and top lane after each arrival
+    lens = []               # and its arrivals
     for a, b in zip(starts.tolist(), (np.maximum.reduceat(mark, starts) + 1).tolist()):
         if b:
-            ls = lanes[a:b].tolist()
-            layers = _layers([key[x] for x in ls], [nys[x] for x in ls],
-                             [pid[x] for x in ls], k, key[-1])
-            strips[a] = (len(stacks), layers)
-            stacks += [(_place(st, a), stack) for stack, _, _ in layers]
+            ls = lanes[a:b]
+            layers = _layers(ls.tolist(), (-yr[ls]).tolist(), pid[ls].tolist(), k)
+            first[a], layered[a] = len(stacks), len(layers)
+            lens += [b - a] * len(layers)
+            place = _place(st, a)
+            for stack, sp, tp in layers:
+                stacks.append((place, stack))
+                steps += sp
+                tops += tp
+    at = np.cumsum(lens) - lens                 # each stack's first arrival
+    steps, tops = np.asarray(steps, dtype=np.int64), np.asarray(tops, dtype=np.int64)
 
-    # strip by strip, queries in lane order (x order within an orientation)
+    # the (query, layer) reads, queries strip by strip in lane order (x
+    # order within an orientation); a layer whose top lies at or below the
+    # cut holds nothing past it
     live = live[np.lexsort((q[live], seg[live]))]
-    hits = ([], [], [])
-    hs, hc, hp = hits
-    cur = -1
-    for p, a, t, cl in zip(np.asarray(pid)[q[live]].tolist(),
-                           seg[live].tolist(),
-                           (s_ent - seg)[live].tolist(),
-                           cuts[live].tolist()):
-        if a != cur:
-            cur, (si, layers) = a, strips[a]
-        lev = 0
-        for stack, steps, tops in layers:
-            cut = key[cl[k - lev]]
-            if tops[t] > cut:       # else nothing in the layer lies past it
-                canons, elems = stack.suffix_at(steps[t], cut)
-                assert not elems    # unbuffered stacks are block-exact
-                hs += [si + lev] * len(canons)
-                hc += canons
-                hp += [p] * len(canons)
-            lev += 1
+    a, t = seg[live], (s_ent - seg)[live]
+    cl = cuts[live][:, ::-1]                    # layer j's cut in column j
+    has = back < layered[a, None]
+    si = first[a, None] + np.where(has, back, 0)
+    reads = has & (tops[at[si] + t[:, None]] > cl)
+    rq, rl = np.nonzero(reads)
+    si = si[rq, rl]
+    hc, counts = [], []
+    for s, step, cut in zip(si.tolist(), steps[at[si] + t[rq]].tolist(),
+                            cl[rq, rl].tolist()):
+        canons, elems = stacks[s][1].suffix_at(step, cut)
+        assert not elems    # unbuffered stacks are block-exact
+        hc += canons
+        counts.append(len(canons))
+    hits = (np.repeat(si, counts), hc, np.repeat(pid[q[live][rq]], counts))
     return _canonical_runs(stacks, hits, len(st.off))
 
 
