@@ -578,13 +578,13 @@ def _compact_pairs(ps: PointSet, pid):
     stacked = stacked[st.seg[s_ent]]
 
     # link walks as one frontier, one link per step; each stops at its cut
-    walk = live & ~stacked
-    wq, wj, wr = q[walk], s_ent[walk], r[walk]
+    walk = np.flatnonzero(live & ~stacked)
+    wq, wj, wr = q[walk] * (2 * n), s_ent[walk], r[walk]
     lane_at = np.append(lanes, -1)      # link -1 reads -1, under every cut
     while wq.size:
-        star.append(wq * (2 * n) + lanes[wj])
+        star.append(wq + lanes[wj])
         wj = below[wj]
-        keep = lane_at[wj] > wr
+        keep = np.flatnonzero(lane_at[wj] > wr)
         wq, wj, wr = wq[keep], wj[keep], wr[keep]
 
     # stack-backed strips, queried in x order so registries fill in order
