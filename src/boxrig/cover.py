@@ -182,7 +182,6 @@ def _strips(unit, units: int) -> _Strips:
     lanes[:len(unit)] = np.arange(len(unit))
     seg = np.empty(len(node), dtype=np.int64)
     left = np.zeros(len(node), dtype=bool)
-    right = np.zeros(len(node), dtype=bool)
     ahead = np.zeros(len(node), dtype=np.int64)
     down = np.full(len(node), -1, dtype=np.int64)
     half = len(unit) // 2
@@ -197,15 +196,14 @@ def _strips(unit, units: int) -> _Strips:
         if not inn.any():
             continue
         left[a:b] = lf = inn & (unit[ln] < np.repeat(lo[rc[us]], z))
-        right[a:b] = inn & ~lf
         ah = np.cumsum(lf) - lf
         ahead[a:b] = ah = ah - ah[at]
         dn = np.where(lf, np.repeat(off[lc[us]], z) + ah,
                       np.repeat(off[rc[us]], z) + np.arange(b - a) - at - ah)
         down[a:b][inn] = dn[inn]
         lanes[dn[inn]] = ln[inn]
-    return _Strips(lc, lanes, node, seg, left, right, ahead, down, off, count,
-                   depth, bounds)
+    return _Strips(lc, lanes, node, seg, left, (down >= 0) & ~left, ahead, down,
+                   off, count, depth, bounds)
 
 
 def _query_pairs(st: _Strips):
@@ -217,23 +215,18 @@ def _query_pairs(st: _Strips):
     return q, st.off[st.lc[st.node[q]]] + st.ahead[q] - 1
 
 
-def _place(st: _Strips, a: int) -> int:
-    """Output place of the strip whose segment starts at entry a: the
-    dominance strips first, each orientation's in node order."""
-    u = int(st.node[a])
-    return (a != int(st.off[u])) * len(st.off) + u
-
-
-def _canonical_runs(stacks, hits, split: int):
+def _canonical_runs(st: _Strips, stacks, segs, reads, canons, counts):
     """The runs (_pack) of the canonical parts: one biclique per canonical
     set a query hit, its left side the set's payloads, its right side the
-    hitting points in hit order.  stacks: (place, stack) pairs; hits: the
-    stack index, canonical id and point of every hit, in hit order.
-    Bicliques follow their stack's place, then their first hit; places
-    below split make the dominance run, the others the anti run."""
-    hs, hc, hp = (np.asarray(h, dtype=np.int64) for h in hits)
+    hitting points in hit order.  segs: the segment start of each stack's
+    strip; reads: the stack index and point of every stack read, in query
+    order; canons: the canonical ids the reads answered, counts of them per
+    read.  Bicliques follow their strip (the dominance strips first, each
+    orientation's in node order), then their first hit."""
+    hs, hp = (np.repeat(np.asarray(r, dtype=np.int64), counts) for r in reads)
+    hc = np.asarray(canons, dtype=np.int64)
     pay, start, trees, weight = [], [], [], []
-    for _, stack in stacks:
+    for stack in stacks:
         p, s = stack.canonical_columns()
         pay += p
         start += s
@@ -243,7 +236,8 @@ def _canonical_runs(stacks, hits, split: int):
     # every tree's run of pay: the stacks' storages laid end to end
     start = np.asarray(start, dtype=np.int64) + np.repeat(np.cumsum(weight) - weight, trees)
     size = np.diff(start, append=len(pay))
-    place = np.repeat(np.array([pl for pl, _ in stacks], dtype=np.int64), trees)
+    u = st.node[np.asarray(segs, dtype=np.int64)]
+    place = np.repeat((np.asarray(segs) != st.off[u]) * len(st.off) + u, trees)
     # group the hits by tree, the trees by place, then first hit
     tree = np.cumsum(trees)[hs] - trees[hs] + hc
     first = np.full(len(size), len(tree), dtype=np.int64)
@@ -258,7 +252,7 @@ def _canonical_runs(stacks, hits, split: int):
     sizes = np.column_stack((size[g], np.diff(lead, append=len(tree)))).ravel()
     out = np.cumsum(sizes) - sizes
     ids = src[np.repeat(at - out, sizes) + np.arange(int(sizes.sum()))]
-    cut = 2 * int(np.searchsorted(place[g], split))
+    cut = 2 * int(np.searchsorted(place[g], len(st.off)))
     end = int(out[cut]) if cut < len(out) else len(ids)
     return [(ids[:end], sizes[:cut], False), (ids[end:], sizes[cut:], True)]
 
@@ -376,22 +370,21 @@ def _leveled(ps: PointSet, k: int):
     starts = np.flatnonzero(np.diff(st.seg, prepend=-1))    # every segment
     first = np.zeros(len(lanes), dtype=np.int64)    # a strip's first stack
     layered = np.zeros(len(lanes), dtype=np.int64)  # and its layer count
-    stacks = []             # every layer's (place, stack)
+    stacks, segs = [], []   # every layer's stack, and its strip's segment
     steps, tops = [], []    # every layer's step and top lane after each arrival
-    lens = []               # and its arrivals
+    at = []                 # and where its arrivals start there
     for a, b in zip(starts.tolist(), (np.maximum.reduceat(mark, starts) + 1).tolist()):
         if b:
             ls = lanes[a:b]
             layers = _layers(ls.tolist(), (-yr[ls]).tolist(), pid[ls].tolist(), k)
             first[a], layered[a] = len(stacks), len(layers)
-            lens += [b - a] * len(layers)
-            place = _place(st, a)
+            segs += [a] * len(layers)
             for stack, sp, tp in layers:
-                stacks.append((place, stack))
+                at.append(len(steps))
+                stacks.append(stack)
                 steps += sp
                 tops += tp
-    at = np.cumsum(lens) - lens                 # each stack's first arrival
-    steps, tops = np.asarray(steps, dtype=np.int64), np.asarray(tops, dtype=np.int64)
+    at, steps, tops = (np.asarray(c, dtype=np.int64) for c in (at, steps, tops))
 
     # the (query, layer) reads, queries strip by strip in lane order (x
     # order within an orientation); a layer whose top lies at or below the
@@ -407,12 +400,11 @@ def _leveled(ps: PointSet, k: int):
     hc, counts = [], []
     for s, step, cut in zip(si.tolist(), steps[at[si] + t[rq]].tolist(),
                             cl[rq, rl].tolist()):
-        canons, elems = stacks[s][1].suffix_at(step, cut)
+        canons, elems = stacks[s].suffix_at(step, cut)
         assert not elems    # unbuffered stacks are block-exact
         hc += canons
         counts.append(len(canons))
-    hits = (np.repeat(si, counts), hc, np.repeat(pid[q[live][rq]], counts))
-    return _canonical_runs(stacks, hits, len(st.off))
+    return _canonical_runs(st, stacks, segs, (si, pid[q[live][rq]]), hc, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +579,27 @@ def _compact_pairs(ps: PointSet, pid):
         keep = np.flatnonzero(lane_at[wj] > wr)
         wq, wj, wr = wq[keep], wj[keep], wr[keep]
 
-    # stack-backed strips, queried in x order so registries fill in order
+    # stack-backed strips, queried in x order so their hits come in order
     sel = np.flatnonzero(live & stacked)
     sel = sel[np.argsort(q[sel], kind="stable")]
-    held = []                           # buffered answers, packed
-    hits = ([], [], [])
-    hs, hc, hp = hits
-    index = {a: i for i, a in enumerate(stacks)}
-    for p, qq, s, a, rr in zip(pid[q[sel]].tolist(), q[sel].tolist(),
-                               s_ent[sel].tolist(), st.seg[s_ent[sel]].tolist(),
-                               r[sel].tolist()):
+    held, hc, counts = [], [], []       # buffered answers, packed
+    for qq, s, a, rr in zip(q[sel].tolist(), s_ent[sel].tolist(),
+                            st.seg[s_ent[sel]].tolist(), r[sel].tolist()):
         stack, epochs = stacks[a]
         canons, elems = stack.suffix_at(epochs[s - a], rr)
-        hs += [index[a]] * len(canons)
         hc += canons
-        hp += [p] * len(canons)
+        counts.append(len(canons))
         held += [qq * (2 * n) + key for key, _ in elems]
     star.append(np.array(held, dtype=np.int64))
+    slot = np.zeros(len(lanes), dtype=np.int64)     # each stack's index
+    slot[list(stacks)] = np.arange(len(stacks))
 
     # the pairs are distinct, so sorting them packed orders them by query,
     # then by member
     pairs = np.concatenate(star)
     pairs.sort()
-    return pairs, _canonical_runs([(_place(st, a), stack) for a, (stack, _)
-                                   in stacks.items()], hits, len(st.off))
+    return pairs, _canonical_runs(st, [stack for stack, _ in stacks.values()], list(stacks),
+                                  (slot[st.seg[s_ent[sel]]], pid[q[sel]]), hc, counts)
 
 
 # ---------------------------------------------------------------------------

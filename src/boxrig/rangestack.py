@@ -63,8 +63,7 @@ class RangeStack:
         self._buffer_len = 0
         self._size = 0
         self._top = None
-        # history, parallel arrays (the buffer's only when buffered); index 0
-        # is the empty initial state
+        # history, three parallel arrays; index 0 is the empty initial state
         self._v_forest: list = [None]
         self._v_buffer: list = [None]
         self._v_size: list[int] = [0]
@@ -108,10 +107,7 @@ class RangeStack:
 
     def buffer_items(self, t: int | None = None) -> list:
         """Buffer (key, payload) pairs oldest -> newest at step t."""
-        if t is not None:
-            head = self._v_buffer[t] if self.buffered else None
-        else:
-            head = self._bhead
+        head = self._bhead if t is None else self._v_buffer[t]
         out = []
         while head is not None:
             out.append((head[0], head[1]))
@@ -139,12 +135,6 @@ class RangeStack:
 
     # -- tree creation ------------------------------------------------------
 
-    def _new_block(self) -> int:
-        """A rank-0 tree over the last block of the storage."""
-        self._t_rank.append(0)
-        self._t_start.append(len(self._ekeys) - self.block)
-        return len(self._t_rank) - 1
-
     def _merge(self, a: int, b: int) -> int:
         """Deep-copy both halves into a fresh canonical run; the new tree's
         internal nodes share content with the originals via origin links."""
@@ -152,10 +142,8 @@ class RangeStack:
         sa, sb = starts[a], starts[b]
         z = self.block << ranks[a]          # both halves have a's rank
         starts.append(len(ek))
-        ek += ek[sa:sa + z]
-        ep += ep[sa:sa + z]
-        ek += ek[sb:sb + z]
-        ep += ep[sb:sb + z]
+        ek += ek[sa:sa + z] + ek[sb:sb + z]
+        ep += ep[sa:sa + z] + ep[sb:sb + z]
         ranks.append(ranks[a] + 1)
         self._t_orig[len(ranks) - 1] = (a, b)
         return len(ranks) - 1
@@ -190,7 +178,6 @@ class RangeStack:
         in the stack (pops lower the bar, so popped keys may be re-entered).
         Returns the step index of this operation."""
         return self._arrive(0, key, payload)
-
 
     def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
         """Bulk arrivals for the buffered variant: for each i, pop
@@ -228,9 +215,9 @@ class RangeStack:
             if self._buffer_len > self.tau:
                 self._flush()
         else:
-            # a rank-0 tree of its own (_new_block, inlined: this is the
-            # arrival of every unbuffered build), cascading only when the
-            # two trees below it have rank 0 too
+            # a rank-0 tree of its own (this is the arrival of every
+            # unbuffered build), cascading only when the two trees below it
+            # have rank 0 too
             ek, ranks = self._ekeys, self._t_rank
             ek.append(key)
             self._epayload.append(payload)
@@ -244,8 +231,7 @@ class RangeStack:
                 self._insert_tree(tid)
         self._size += 1
         self._v_forest.append(self._fhead)
-        if self.buffered:
-            self._v_buffer.append(self._bhead)
+        self._v_buffer.append(self._bhead)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
@@ -269,15 +255,16 @@ class RangeStack:
             head = (k, p, head)
         self._bhead = head
         self._buffer_len = keep
-        self._insert_tree(self._new_block())
+        self._t_rank.append(0)          # a rank-0 tree over the block
+        self._t_start.append(len(self._ekeys) - self.block)
+        self._insert_tree(len(self._t_rank) - 1)
 
     def pop(self, k: int) -> int:
         """Remove the top k elements; O(log n) plus any block re-buffering."""
         if k:
             self._pop_body(k)
         self._v_forest.append(self._fhead)
-        if self.buffered:
-            self._v_buffer.append(self._bhead)
+        self._v_buffer.append(self._bhead)
         vs = self._v_size
         vs.append(self._size)
         return len(vs) - 1
@@ -367,7 +354,7 @@ class RangeStack:
         and stop below lo.  Collects key-descending, returns ascending."""
         canons: list[int] = []
         elems: list = []
-        node = self._v_buffer[t] if self.buffered else None
+        node = self._v_buffer[t]
         while node is not None:
             key = node[0]
             if key < lo or strict_lo and key == lo:
