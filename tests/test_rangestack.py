@@ -272,6 +272,17 @@ def test_buffered_canonical_sizes_at_least_block():
         assert len(s.canonical_payloads(cid)) >= s.block
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+def test_canonical_columns_hold_each_tree_run(buffered):
+    # the cover builds slice every created tree's payloads off these columns
+    s, _, _ = run_script(1500, seed=5, buffered=buffered, pop_bias=0.1)
+    payloads, starts = s.canonical_columns()
+    ends = starts[1:] + [len(payloads)]
+    assert s.created_count > 0
+    assert [payloads[a:b] for a, b in zip(starts, ends)] == [
+        s.canonical_payloads(cid) for cid in range(s.created_count)]
+
+
 def test_buffered_noncanonical_count_bound():
     n = 4096
     s, _, _ = run_script(n, seed=8, buffered=True, pop_bias=0.3)
