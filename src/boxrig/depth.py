@@ -13,12 +13,13 @@ biclique into O((|A|+|B|)/eps + levels^2) weighted interior-disjoint
 rectangles whose value at any point is within [(1-eps) k l, k l].  Small
 bicliques skip the machinery and emit their rectangles verbatim (exact).
 The level cells of all the other bicliques of a cover are built in one
-numpy pass in index space (positions along each side), and their
-coordinates are gathered from the point set's doubled columns at the end.
+numpy pass in index space (positions along each side), their edges
+gathered as rank codes at the end.
 
-One overlay path serves both consumers: the cells of a whole cover become
-numpy columns, one rank step turns them into an x-sweep over compressed y,
-and the sweep's corners fold into a static dominance-sum table (a
+One overlay path serves both consumers, on the rank lattice: a cell edge
+is the int64 code 2 * rank + offset, ordered as the doubled coordinate
+2 * coord + offset it stands for.  The codes are the events and leaves of
+an x-sweep whose corners fold into a static dominance-sum table (a
 leaf-prefix snapshot every B events plus, per block of B events, a prefix
 table over the leaves that block touches).  DepthIndex answers a stabbing
 sum with three bisects and two table reads; approx_max_depth reads the
@@ -150,7 +151,8 @@ def _level_cells(sides, bounds, anti, ladders: tuple, x2s, y2s,
     side sides[mid:hi], (lo, mid, hi) = bounds[k], both point ids in x
     order; anti[k] marks it anti-oriented (reflected in x into the
     dominance form).  ladders holds the selected levels of every side size
-    (_ladders).  x2s/y2s are the doubled coordinate columns the ids index.
+    (_ladders).  x2s/y2s are the doubled columns the ids index: ranks in
+    _cover_cells, coordinates in biclique_cells.
 
     In its dominance form a biclique has B = left below-left of A = right,
     both staircases x-ascending, y-descending, with |B| = t and |A| = s.
@@ -170,10 +172,10 @@ def _level_cells(sides, bounds, anti, ladders: tuple, x2s, y2s,
     searchsorted calls.  A cell edge is a code 2 * id + offset, standing
     for +-(x2s or y2s)[id] + offset in the side's frame, negative on a
     reflected axis; reflecting an edge pair back swaps the two codes and
-    flips their offsets.  The coordinates are gathered at the end, and
-    empty cells (a grid product over an empty interval, a band whose floor
-    lies above its top) are dropped; strict staircases with B strictly
-    below-left of A, as in a cover of a validated point set, give none."""
+    flips their offsets.  The columns are gathered at the end, and empty
+    cells (a grid product over an empty interval, a band whose floor lies
+    above its top) are dropped; strict staircases with B strictly below-left
+    of A, as in a cover of a validated point set, give none."""
     mu = math.ceil(6 / eps)
     # sides: A of biclique k (its right side) is side 2k, the mirrored B
     # side (its left) 2k + 1; a chain runs against x where flip_x is set
@@ -284,13 +286,12 @@ def biclique_cells(bx2, by2, ax2, ay2, eps: float) -> list:
 
 
 def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
-    """Weighted cells of every biclique of the cover in true doubled
-    coordinates, as columns (x1, y1, x2 + 1, y2 + 1, w): cell i covers
-    [x1, x2 + 1) x [y1, y2 + 1).  Verbatim bicliques are expanded in numpy,
-    one unit rectangle per (B, A) pair; the others go through _level_cells
-    in one batch.  Both gather their coordinates from the doubled columns
-    of the point set, so a coordinate column has object dtype when one of
-    its values exceeds int64."""
+    """Weighted cells of every biclique of the cover as int64 columns
+    (x1, y1, x2 + 1, y2 + 1, w) of rank codes: an edge 2 * rank + offset
+    stands for 2 * coord + offset (_lattice), and cell i covers [x1, x2 + 1)
+    x [y1, y2 + 1).  Verbatim bicliques are expanded in numpy, one unit
+    rectangle per (B, A) pair; the others go through _level_cells in one
+    batch.  Both gather their edges from the doubled rank columns."""
     sides, starts, anti = cover.sides, cover.starts, cover.anti
     size = np.diff(starts)
     t, s = size[0::2], size[1::2]
@@ -306,8 +307,8 @@ def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
     pos = np.arange(len(k)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
     li = sides[starts[2 * k] + pos // s[k]]
     ri = sides[starts[2 * k + 1] + pos % s[k]]
-    x2s = coord_array([2 * x for x in ps.xs])
-    y2s = coord_array([2 * y for y in ps.ys])
+    x2s = 2 * np.fromiter(ps.rank_x, dtype=np.int64, count=ps.n)
+    y2s = 2 * np.fromiter(ps.rank_y, dtype=np.int64, count=ps.n)
     flip = anti[k]
     lx, rx = x2s[li], x2s[ri]
     cols = [np.where(flip, rx, lx), y2s[li], np.where(flip, lx, rx) + 1,
@@ -321,17 +322,10 @@ def _cover_cells(cover: BicliqueCover, ps: PointSet, eps: float) -> tuple:
     return tuple(cols)
 
 
-def _cell_ranks(cells: tuple):
-    """Rank space of cell columns: (xthresholds, ybreaks, x_in, x_out, y_lo,
-    y_hi).  The sorted lists xthresholds and ybreaks hold every x1, x2 + 1
-    and every y1, y2 + 1; leaf j is the y-slab [ybreaks[j], ybreaks[j+1]).
-    Cell i enters the x-sweep at event x_in[i], leaves it at event x_out[i]
-    and spans leaves y_lo[i] .. y_hi[i] - 1."""
-    x1, y1, x2, y2, _ = cells
-    c = len(x1)
-    xthr, ev = np.unique(np.concatenate((x1, x2)), return_inverse=True)
-    ybreaks, lf = np.unique(np.concatenate((y1, y2)), return_inverse=True)
-    return xthr.tolist(), ybreaks.tolist(), ev[:c], ev[c:], lf[:c], lf[c:]
+def _lattice(vals, order) -> list[int]:
+    """The doubled coordinates of one axis's rank codes, in code order: code
+    2 * r + offset stands for 2 * vals[order[r]] + offset."""
+    return [2 * vals[i] + offset for i in order for offset in (0, 1)]
 
 
 class _SideRanks:
@@ -456,20 +450,21 @@ def _dominance_table(ev, lf, dw, events: int, leaves: int):
     return block, table, col_at, pair
 
 
-def _sweep_table(cells: tuple):
+def _sweep_table(cells: tuple, ps: PointSet):
     """The cells' x-sweep as four weighted corners per cell (enter/leave
     event by low/high leaf), folded into a _dominance_table: (xthresholds,
-    ybreaks, B, table, col_at, pair).  The depth at event i, leaf j is the
-    sum over the corners dominated by (i, j)."""
-    xthr, ybreaks, x_in, x_out, y_lo, y_hi = _cell_ranks(cells)
-    w = cells[4]
-    leaves = len(ybreaks) - 1
-    ev = np.concatenate((x_in, x_in, x_out, x_out))
-    lf = np.concatenate((y_lo, y_hi, y_lo, y_hi))
+    ybreaks, B, table, col_at, pair).  Event i is x code i, leaf j the
+    y-slab from y code j to j + 1; xthresholds and ybreaks are the codes'
+    coordinates (_lattice).  The depth at event i, leaf j is the sum over
+    the corners dominated by (i, j)."""
+    x1, y1, x2, y2, w = cells
+    leaves = 2 * ps.n - 1
+    ev = np.concatenate((x1, x1, x2, x2))
+    lf = np.concatenate((y1, y2, y1, y2))
     dw = np.concatenate((w, -w, -w, w))
-    keep = lf < leaves    # corners on the last break reach no query
-    return (xthr, ybreaks,
-            *_dominance_table(ev[keep], lf[keep], dw[keep], len(xthr), leaves))
+    keep = lf < leaves    # corners on the last code reach no query
+    return (_lattice(ps.xs, ps.by_x), _lattice(ps.ys, ps.by_y),
+            *_dominance_table(ev[keep], lf[keep], dw[keep], 2 * ps.n, leaves))
 
 
 class DepthIndex:
@@ -493,7 +488,7 @@ class DepthIndex:
         cells = _cover_cells(cover, ps, eps)
         self.cell_count = len(cells[4])
         self._xthresholds, self._ybreaks, self._block, table, col_at, pair = \
-            _sweep_table(cells)
+            _sweep_table(cells, ps)
         self._leaves = leaves = len(self._ybreaks) - 1
         self._col_at = col_at.tolist()
         self._snap_size = (len(col_at) - 1) * leaves
@@ -538,7 +533,7 @@ def approx_max_depth(ps: PointSet, eps: float):
     leaf."""
     _check_eps(eps)
     xthr, ybreaks, block, table, col_at, pair = _sweep_table(
-        _cover_cells(build_cover(ps), ps, eps))
+        _cover_cells(build_cover(ps), ps, eps), ps)
     leaves = len(ybreaks) - 1
     snap_size = (len(col_at) - 1) * leaves
     rows = table[snap_size:].reshape(block, len(pair))

@@ -187,7 +187,7 @@ def _order(vals: list[int], tie_error: type[GeomError]) -> np.ndarray:
 
 
 def dbl(v: Coord) -> int:
-    """Map an int or half-integer Fraction to the doubled-integer lattice.
+    """Map an int, np.integer or half-integer Fraction to the doubled lattice.
 
     All oracle and query arithmetic runs on doubled coordinates so that cell
     midpoints stay exact without floating point.  Anything else (floats,
@@ -200,6 +200,8 @@ def dbl(v: Coord) -> int:
             return v.numerator
         if v.denominator == 1:
             return 2 * v.numerator
+    elif isinstance(v, np.integer):
+        return 2 * int(v)
     raise GeomError(f"query coordinate {v!r} is not an integer or half-integer")
 
 

@@ -14,12 +14,12 @@ import pytest
 import boxrig.depth
 from boxrig.boxhull import build_hull
 from boxrig.cover import build_cover
-from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells,
+from boxrig.depth import (DepthIndex, EpsOutOfRange, _cover_cells, _lattice,
                           approx_max_depth, approx_mis, biclique_cells,
                           build_depth_index, exact_depth_at,
                           log_approx_max_depth, lower_corners, query_depth,
                           select_levels, staircase_curves, upper_corners)
-from boxrig.geom import rect_of, validate
+from boxrig.geom import coord_array, rect_of, validate
 from boxrig.lab import gen_lower_bound, gen_uniform
 from boxrig.oracle import (brute_depth, brute_depth_many, brute_max_depth,
                            brute_mis, brute_rig)
@@ -197,6 +197,29 @@ def mirror_x(ps):
     return validate([(-x, y) for x, y in ps.coords()])
 
 
+def doubled_cells(ps, cover, eps):
+    """_cover_cells' rank codes mapped back to doubled coordinates."""
+    x1, y1, x2, y2, w = _cover_cells(cover, ps, eps)
+    xs = coord_array(_lattice(ps.xs, ps.by_x))
+    ys = coord_array(_lattice(ps.ys, ps.by_y))
+    return xs[x1], ys[y1], xs[x2], ys[y2], w
+
+
+def test_cover_cells_are_rank_codes():
+    """The cells do not move when the set is shifted, even past int64: they
+    are int64 rank codes.  Two-diagonals m = 64 takes the level cells at
+    eps 0.5, in either orientation once mirrored."""
+    for base in (uniform(50, 1), two_diagonals(64)):
+        for ps in (base, mirror_x(base)):
+            big = validate([(x + (1 << 70), y - (1 << 66))
+                            for x, y in ps.coords()])
+            cols = _cover_cells(build_cover(ps), ps, 0.5)
+            big_cols = _cover_cells(build_cover(big), big, 0.5)
+            for col, big_col in zip(cols, big_cols):
+                assert col.dtype == big_col.dtype == np.int64
+                assert np.array_equal(col, big_col)
+
+
 def test_level_cells_output_pinned():
     """The level cells of the extremal sets (each also x-mirrored, so both
     orientations take them) and of random chain pairs, sorted, hash to the
@@ -209,7 +232,7 @@ def test_level_cells_output_pinned():
     for ps in bases + [mirror_x(ps) for ps in bases]:
         cover = build_cover(ps)
         for eps in (0.5, 0.25, 0.1):
-            cols = _cover_cells(cover, ps, eps)
+            cols = doubled_cells(ps, cover, eps)
             assert not any(np.issubdtype(col.dtype, np.floating)
                            for col in cols)
             rows = sorted(zip(*(col.tolist() for col in cols)))
@@ -311,7 +334,7 @@ def test_depth_index_matches_its_cell_sums(eps):
     by 2, is the total weight of the cover's cells containing it."""
     for ps in cell_sum_sets():
         ix = build_depth_index(ps, eps)
-        x1, y1, x2, y2, w = _cover_cells(ix.cover, ps, eps)
+        x1, y1, x2, y2, w = doubled_cells(ps, ix.cover, eps)
         assert ix.cell_count == len(w)
         qys = np.arange(2 * min(ps.ys) - 4, 2 * max(ps.ys) + 5)
         inside_y = (y1[:, None] <= qys) & (qys < y2[:, None])

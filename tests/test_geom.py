@@ -158,8 +158,12 @@ def test_dbl():
     assert dbl(Fraction(5, 2)) == 5 and dbl(Fraction(-5, 2)) == -5
     assert dbl(Fraction(6, 2)) == 6
     assert dbl(1 << 80) == 1 << 81
+    # numpy integers are accepted, as validate accepts them for points
+    assert dbl(np.int64(3)) == 6 and dbl(np.int32(-7)) == -14
+    assert type(dbl(np.int64(1 << 62))) is int and dbl(np.uint8(5)) == 10
     # a float or a bool must not be doubled and truncated to another point
-    for bad in (Fraction(1, 3), 0.3, 1.5, 0.75, True, False, "3", None):
+    for bad in (Fraction(1, 3), 0.3, 1.5, 0.75, True, False, "3", None,
+                np.float64(2.0), np.bool_(True)):
         with pytest.raises(GeomError):
             dbl(bad)
 
@@ -176,7 +180,8 @@ def test_query_entry_points_take_only_lattice_coordinates():
             for q in ((bad, 7), (7, bad)):
                 with pytest.raises(GeomError):
                     call(q)
-    for q in ((Fraction(5, 2), 7), (7, Fraction(5, 2))):
+    for q in ((Fraction(5, 2), 7), (7, Fraction(5, 2)),
+              (np.int64(5), np.int32(7))):
         assert brute_hull_member(ps, q) and hull.contains(q)
         assert witness_rect(ps, hull, q).contains(*q)
         true = brute_depth(ps, q)
