@@ -24,7 +24,9 @@ in one rank-space pass over the same lane layout (_strips):
   it, each strip below it is a (query, strip) pair whose cut is a running
   maximum over the deeper strips, and the strips' chain links are walked
   as one frontier, one link per step.  Only a strip whose maxima chain
-  outgrows the stack buffer gets a buffered stack, queried per point;
+  outgrows the stack buffer gets a buffered stack: it runs the basic
+  cover's arrival loop (_layers) on it, built as far as its last read, and
+  shares the basic cover's read loop (_strip_reads);
 * k-level: k+1 stacked maxima layers per strip, built one layer at a time;
   an arriving point pops the suffix it dominates from every layer, and layer
   i's casualties arrive in layer i+1 at the same arrival, so layer
@@ -209,20 +211,22 @@ def _strips(unit, units: int) -> _Strips:
 def _query_pairs(st: _Strips):
     """The prefix decomposition as pairs: a member of a node's right child
     queries its left child, whose members ahead of it in x are a prefix of
-    that strip.  Returns the querying entries and, per query, the entry of
-    the last strip member ahead of it."""
+    that strip.  Returns each query's lane, the entry of the last strip
+    member ahead of it, and the query's row (1: the deepest level)."""
     q = np.flatnonzero(st.right & (st.ahead > st.ahead[st.seg]))
-    return q, st.off[st.lc[st.node[q]]] + st.ahead[q] - 1
+    return (st.lanes[q], st.off[st.lc[st.node[q]]] + st.ahead[q] - 1,
+            len(st.bounds) - 2 - st.depth[st.node[q]])
 
 
 def _canonical_runs(st: _Strips, stacks, segs, reads, canons, counts):
     """The runs (_pack) of the canonical parts: one biclique per canonical
     set a query hit, its left side the set's payloads, its right side the
     hitting points in hit order.  segs: the segment start of each stack's
-    strip; reads: the stack index and point of every stack read, in query
-    order; canons: the canonical ids the reads answered, counts of them per
-    read.  Bicliques follow their strip (the dominance strips first, each
-    orientation's in node order), then their first hit."""
+    strip; reads: the stack index and point of every stack read, each
+    stack's in query order; canons: the canonical ids the reads answered,
+    counts of them per read.  Bicliques follow their strip (the dominance
+    strips first, each orientation's in node order), then their first
+    hit."""
     hs, hp = (np.repeat(np.asarray(r, dtype=np.int64), counts) for r in reads)
     hc = np.asarray(canons, dtype=np.int64)
     pay, start, trees, weight = [], [], [], []
@@ -258,28 +262,27 @@ def _canonical_runs(st: _Strips, stacks, segs, reads, canons, counts):
 
 
 # ---------------------------------------------------------------------------
-# leveled pipeline (basic cover and k-level cover)
+# strip stacks (both pipelines) and the leveled pipeline (basic and k-level)
 
 
-def _layers(sxs: list, nys: list, pts: list, k: int):
+def _layers(stack: RangeStack, sxs: list, nys: list, pts: list, k: int):
     """The k + 1 maxima layers of one strip, built one layer at a time: at
     arrival i a layer pops the staircase suffix the arriving point
     dominates, then pushes its carry: i itself on layer 0, on layer j + 1
-    what layer j lost at arrival i.  Keys are lanes.  Per layer: (stack,
-    step and top lane after each arrival, -1 while the layer is empty);
-    layers that would stay empty are left out."""
-    stack = RangeStack(len(pts))
+    what layer j lost at arrival i.  Keys are lanes.  Layer 0 arrives on
+    the given empty stack: buffered for the compact cover's stack-backed
+    strips, which thus run the basic cover's arrival loop, as far as their
+    last read (_strip_reads).  The deeper layers arrive on unbuffered
+    stacks.  Per layer: (stack, step and top lane after each arrival, -1
+    while the layer is empty); layers that would stay empty are left out."""
     arrive = stack.replace_top
     keys: list = []        # members' -y, ascending == stack order
     pos: list[int] = []    # members' positions in the strip (k > 0 only)
     carries: list = []     # what each arrival pops, for the next layer
     for i, (sx, ny, pt) in enumerate(zip(sxs, nys, pts)):
         j = bisect_right(keys, ny)
-        if j < len(keys):
-            arrive(len(keys) - j, sx, pt)
-            del keys[j:]
-        else:
-            arrive(0, sx, pt)
+        arrive(len(keys) - j, sx, pt)
+        del keys[j:]
         if k:
             carries.append(pos[j:])
             del pos[j:]
@@ -327,6 +330,61 @@ def _layers(sxs: list, nys: list, pts: list, k: int):
     return layers
 
 
+def _strip_reads(st: _Strips, yr, pid, q, s_ent, cuts, buffered: bool):
+    """The stack stage of both pipelines, for the live (query lane, strip
+    entry) pairs, the entry being the last strip member ahead of the query,
+    and their cuts, layer j's in column j.  Builds each strip's layers
+    (_layers) as far as its last pair reads and walks every (pair, layer)
+    read.  Returns the runs (_canonical_runs) of the canonical parts and
+    the buffered answers, packed as query * 2n + member lane."""
+    k = cuts.shape[1] - 1
+    lanes = st.lanes
+    seg = st.seg[s_ent]
+    order = np.lexsort((q, seg))    # strip by strip, queries in lane order
+    q, s_ent, seg, cuts = q[order], s_ent[order], seg[order], cuts[order]
+    # a query later in x has more strip members ahead of it, so each
+    # strip's last pair reads farthest
+    last = np.flatnonzero(np.diff(seg, append=-1))
+    first = np.zeros(len(lanes), dtype=np.int64)    # a strip's first stack
+    layered = np.zeros(len(lanes), dtype=np.int64)  # and its layer count
+    stacks, segs = [], []   # every layer's stack, and its strip's segment
+    steps, tops = [], []    # every layer's step and top lane after each arrival
+    at = []                 # and where its arrivals start there
+    for a, b in zip(seg[last].tolist(), (s_ent[last] + 1).tolist()):
+        ls = lanes[a:b]
+        # a buffered stack's block and tau come from the whole strip
+        stack = RangeStack(int(st.count[st.node[a]]) // 2, buffered=buffered)
+        layers = _layers(stack, ls.tolist(), (-yr[ls]).tolist(), pid[ls].tolist(), k)
+        first[a], layered[a] = len(stacks), len(layers)
+        segs += [a] * len(layers)
+        for stack, sp, tp in layers:
+            at.append(len(steps))
+            stacks.append(stack)
+            steps += sp
+            tops += tp
+    at, steps, tops = (np.asarray(c, dtype=np.int64) for c in (at, steps, tops))
+
+    # the (pair, layer) reads; a layer whose top lies at or below the cut
+    # holds nothing past it
+    t = s_ent - seg
+    back = np.arange(k + 1)
+    has = back < layered[seg, None]
+    si = first[seg, None] + np.where(has, back, 0)
+    reads = has & (tops[at[si] + t[:, None]] > cuts)
+    rq, rl = np.nonzero(reads)
+    si = si[rq, rl]
+    hc, counts, held = [], [], []
+    for s, step, cut, qq in zip(si.tolist(), steps[at[si] + t[rq]].tolist(),
+                                cuts[rq, rl].tolist(), (q[rq] * len(pid)).tolist()):
+        canons, elems = stacks[s].suffix_at(step, cut)
+        hc += canons
+        counts.append(len(canons))
+        if elems:
+            held += [qq + key for key, _ in elems]
+    return (_canonical_runs(st, stacks, segs, (si, pid[q[rq]]), hc, counts),
+            np.array(held, dtype=np.int64))
+
+
 def _leveled(ps: PointSet, k: int):
     """Both orientations of the basic (k = 0) or k-level cover, as the runs
     of _pack: the canonical parts, (left ids, right ids) pairs that cover
@@ -336,8 +394,9 @@ def _leveled(ps: PointSet, k: int):
     read left children only (_query_pairs).  A query's cuts before a strip
     are the k + 1 highest lanes among the members ahead of it in the deeper
     strips, merged one tree level at a time, deepest first; layer j takes
-    the (k + 1 - j)-th highest.  A strip's stacks are built only as far as
-    the queries that can find something in them read."""
+    the (k + 1 - j)-th highest, column j of the ascending cuts.  The pairs
+    that can find something go to the stack stage (_strip_reads) on
+    unbuffered stacks."""
     n = ps.n
     by_x = list(ps.by_x)
     pid = np.asarray(by_x + by_x[::-1])         # point of each lane
@@ -346,11 +405,9 @@ def _leveled(ps: PointSet, k: int):
     yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
     st = _strips(yr, n)
     lanes = st.lanes
-    q_ent, s_ent = _query_pairs(st)
-    q = lanes[q_ent]
+    q, s_ent, row = _query_pairs(st)
     seg = st.seg[s_ent]
-    row = len(st.bounds) - 2 - st.depth[st.node[q_ent]]   # 1: deepest
-    best = np.full((2 * n, k + 1), -1, dtype=np.int64)    # descending lanes
+    best = np.full((2 * n, k + 1), -1, dtype=np.int64)    # ascending lanes
     cuts = np.empty((len(q), k + 1), dtype=np.int64)
     back = np.arange(k + 1)
     for r in range(1, int(row.max(initial=0)) + 1):
@@ -360,51 +417,12 @@ def _leveled(ps: PointSet, k: int):
         ent = s_ent[at, None] - back            # the strip's last k + 1 ahead
         own = np.where(ent >= seg[at, None], lanes[ent], -1)
         merged = np.sort(np.concatenate([best[qa], own], axis=1), axis=1)
-        best[qa] = merged[:, :-k - 2:-1]
+        best[qa] = merged[:, -k - 1:]
 
     # every layer of a strip holds lanes up to its last one ahead, so a
     # query whose lowest cut is not below that lane finds nothing
-    live = np.flatnonzero(lanes[s_ent] > cuts[:, k])
-    mark = np.full(len(lanes), -1, dtype=np.int64)
-    mark[s_ent[live]] = s_ent[live]
-    starts = np.flatnonzero(np.diff(st.seg, prepend=-1))    # every segment
-    first = np.zeros(len(lanes), dtype=np.int64)    # a strip's first stack
-    layered = np.zeros(len(lanes), dtype=np.int64)  # and its layer count
-    stacks, segs = [], []   # every layer's stack, and its strip's segment
-    steps, tops = [], []    # every layer's step and top lane after each arrival
-    at = []                 # and where its arrivals start there
-    for a, b in zip(starts.tolist(), (np.maximum.reduceat(mark, starts) + 1).tolist()):
-        if b:
-            ls = lanes[a:b]
-            layers = _layers(ls.tolist(), (-yr[ls]).tolist(), pid[ls].tolist(), k)
-            first[a], layered[a] = len(stacks), len(layers)
-            segs += [a] * len(layers)
-            for stack, sp, tp in layers:
-                at.append(len(steps))
-                stacks.append(stack)
-                steps += sp
-                tops += tp
-    at, steps, tops = (np.asarray(c, dtype=np.int64) for c in (at, steps, tops))
-
-    # the (query, layer) reads, queries strip by strip in lane order (x
-    # order within an orientation); a layer whose top lies at or below the
-    # cut holds nothing past it
-    live = live[np.lexsort((q[live], seg[live]))]
-    a, t = seg[live], (s_ent - seg)[live]
-    cl = cuts[live][:, ::-1]                    # layer j's cut in column j
-    has = back < layered[a, None]
-    si = first[a, None] + np.where(has, back, 0)
-    reads = has & (tops[at[si] + t[:, None]] > cl)
-    rq, rl = np.nonzero(reads)
-    si = si[rq, rl]
-    hc, counts = [], []
-    for s, step, cut in zip(si.tolist(), steps[at[si] + t[rq]].tolist(),
-                            cl[rq, rl].tolist()):
-        canons, elems = stacks[s].suffix_at(step, cut)
-        assert not elems    # unbuffered stacks are block-exact
-        hc += canons
-        counts.append(len(canons))
-    return _canonical_runs(st, stacks, segs, (si, pid[q[live][rq]]), hc, counts)
+    live = np.flatnonzero(lanes[s_ent] > cuts[:, 0])
+    return _strip_reads(st, yr, pid, q[live], s_ent[live], cuts[live], False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,48 +485,37 @@ def _inner_links(st: _Strips, below):
         below[a:b] = np.where(inner[a:b], got, below[a:b])
 
 
-def _chain_sizes(below, entries):
+def _chain_sizes(below, entries, cap: int):
     """Size of the chain after each arrival (its depth in the link forest),
-    by pointer jumping over the given entries."""
+    by pointer jumping over the given entries, exact up to cap: the jumps
+    stop after cap.bit_length() rounds, and a chain still open reads
+    cap + 1."""
     size = np.ones(len(below), dtype=np.int64)
     nxt = below.copy()
     act = entries[nxt[entries] >= 0]
-    while act.size:
+    for _ in range(cap.bit_length()):
         j = nxt[act]
         size[act] += size[j]
         nxt[act] = nxt[j]
         act = act[nxt[act] >= 0]
+    size[act] = cap + 1
     return size
 
 
-def _strip_stacks(st: _Strips, below, pid):
-    """Buffered stacks, keyed by segment start, for the strips (internal
-    left children) whose maxima chain outgrows the stack buffer: (stack,
-    epoch after each arrival).  Every other strip answers by walking its
-    links."""
-    lc = st.lc
-    strip = np.zeros(len(lc), dtype=bool)
-    strip[lc[lc != -1]] = True
-    strip &= lc != -1
-    size = _chain_sizes(below, np.flatnonzero(strip[st.node]))
+def _strip_stacks(st: _Strips, below):
+    """The strips (internal left children) whose maxima chain outgrows the
+    stack buffer, as a mask over segment starts.  They get a buffered stack
+    (_strip_reads); every other strip answers by walking its links."""
+    strip = np.zeros(len(st.lc), dtype=bool)
+    strip[st.lc[st.lc != -1]] = True
+    strip &= st.lc != -1
+    limit = np.array([RangeStack.buffer_limit(c // 2) for c in st.count.tolist()])
+    size = _chain_sizes(below, np.flatnonzero(strip[st.node]), int(limit[strip].max(initial=0)))
     starts = np.flatnonzero(np.diff(st.seg, prepend=-1))
-    longest = np.zeros(len(st.lanes), dtype=np.int64)
-    longest[starts] = np.maximum.reduceat(size, starts)
-    us = np.flatnonzero(strip)
-    halves = st.count[us] // 2
-    limit = [RangeStack.buffer_limit(h) for h in halves.tolist()]
-    segs = np.column_stack((st.off[us], st.off[us] + halves))   # both orientations
-    outgrow = longest[segs] > np.array(limit, dtype=np.int64)[:, None]
-    stacks = {}
-    for a, half in zip(segs[outgrow].tolist(), np.repeat(halves, outgrow.sum(1)).tolist()):
-        sz = size[a:a + half].tolist()
-        # each arrival pops the chain suffix it dominates
-        pops = [p + 1 - s for p, s in zip([0] + sz[:-1], sz)]
-        lanes = st.lanes[a:a + half]
-        stack = RangeStack(half, buffered=True)
-        epochs = stack.run_monotone_script(lanes.tolist(), pid[lanes].tolist(), pops)
-        stacks[a] = (stack, epochs)
-    return stacks
+    u = st.node[starts]
+    stacked = np.zeros(len(st.lanes), dtype=bool)
+    stacked[starts] = strip[u] & (np.maximum.reduceat(size, starts) > limit[u])
+    return stacked
 
 
 def _compact(ps: PointSet):
@@ -550,24 +557,18 @@ def _compact_pairs(ps: PointSet, pid):
     leaf_cut = np.full(2 * n, -1, dtype=np.int64)   # -1: below every lane
     star = _leaf_scan(st, yr, tau, below, leaf_cut)   # packed star pairs
     _inner_links(st, below)
-    stacks = _strip_stacks(st, below, pid)
 
     # each query's cut before a strip: the running maximum, deepest strip
     # first, of the last lane of every deeper strip, seeded by its leaf
-    q_ent, s_ent = _query_pairs(st)
-    q = lanes[q_ent]
+    q, s_ent, row = _query_pairs(st)
     last = lanes[s_ent]
-    levels = len(st.bounds) - 2
-    row = levels - st.depth[st.node[q_ent]]
-    cuts = np.full((levels + 1, 2 * n), -1, dtype=np.int64)
+    cuts = np.full((len(st.bounds) - 1, 2 * n), -1, dtype=np.int64)
     cuts[0] = leaf_cut
     cuts[row, q] = last
     np.maximum.accumulate(cuts, axis=0, out=cuts)
     r = cuts[row - 1, q]
     live = last > r
-    stacked = np.zeros(len(lanes), dtype=bool)
-    stacked[list(stacks)] = True
-    stacked = stacked[st.seg[s_ent]]
+    stacked = _strip_stacks(st, below)[st.seg[s_ent]]
 
     # link walks as one frontier, one link per step; each stops at its cut
     walk = np.flatnonzero(live & ~stacked)
@@ -579,27 +580,16 @@ def _compact_pairs(ps: PointSet, pid):
         keep = np.flatnonzero(lane_at[wj] > wr)
         wq, wj, wr = wq[keep], wj[keep], wr[keep]
 
-    # stack-backed strips, queried in x order so their hits come in order
+    # stack-backed strips, through the leveled pipeline's stack stage
     sel = np.flatnonzero(live & stacked)
-    sel = sel[np.argsort(q[sel], kind="stable")]
-    held, hc, counts = [], [], []       # buffered answers, packed
-    for qq, s, a, rr in zip(q[sel].tolist(), s_ent[sel].tolist(),
-                            st.seg[s_ent[sel]].tolist(), r[sel].tolist()):
-        stack, epochs = stacks[a]
-        canons, elems = stack.suffix_at(epochs[s - a], rr)
-        hc += canons
-        counts.append(len(canons))
-        held += [qq * (2 * n) + key for key, _ in elems]
-    star.append(np.array(held, dtype=np.int64))
-    slot = np.zeros(len(lanes), dtype=np.int64)     # each stack's index
-    slot[list(stacks)] = np.arange(len(stacks))
+    runs, held = _strip_reads(st, yr, pid, q[sel], s_ent[sel], r[sel, None], True)
+    star.append(held)
 
     # the pairs are distinct, so sorting them packed orders them by query,
     # then by member
     pairs = np.concatenate(star)
     pairs.sort()
-    return pairs, _canonical_runs(st, [stack for stack, _ in stacks.values()], list(stacks),
-                                  (slot[st.seg[s_ent[sel]]], pid[q[sel]]), hc, counts)
+    return pairs, runs
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ The buffer is the persistent chain alone: a flush reads its oldest block off
 the chain and rebuilds the rest, O(tau) like the flush itself.
 
 Every arrival (push, replace_top, each entry of run_monotone_script) is one
-private step: pop a count, push one element, record the version.
+private step: pop a count, push one element, record the version.  The cover
+builds arrive through replace_top; run_monotone_script stays as API, and the
+benchmark's tracer patches it by name.
 """
 
 from __future__ import annotations
@@ -182,20 +184,22 @@ class RangeStack:
     def run_monotone_script(self, keys, payloads, popcounts) -> list[int]:
         """Bulk arrivals for the buffered variant: for each i, pop
         popcounts[i] elements then push keys[i] (one recorded step per
-        arrival, as replace_top).  Keys must be strictly increasing.
-        Returns the step index of every arrival."""
+        arrival, as replace_top).  Keys must strictly increase from the
+        current top.  The whole script is checked before its first arrival,
+        so a bad one leaves the stack as it was.  Returns the step index of
+        every arrival."""
         if not self.buffered:
             raise ValueError("bulk scripts are a buffered-variant fast path")
-        arrive = self._arrive
-        prev = self._top if self._size else None
-        out: list[int] = []
-        for i in range(len(keys)):
-            k = keys[i]
+        if not len(keys) == len(payloads) == len(popcounts):
+            raise ValueError("keys, payloads and popcounts differ in length")
+        prev, size = self._top if self._size else None, self._size
+        for k, c in zip(keys, popcounts):
             if prev is not None and k <= prev:
                 raise NonMonotoneKey(f"key {k!r} <= previous {prev!r}")
-            prev = k
-            out.append(arrive(popcounts[i], k, payloads[i]))
-        return out
+            if not 0 <= c <= size:
+                raise StackUnderflow(f"pop({c}) from stack of size {size}")
+            prev, size = k, size + 1 - c
+        return [self._arrive(c, k, p) for k, p, c in zip(keys, payloads, popcounts)]
 
     def replace_top(self, count: int, key, payload=None) -> int:
         """Pop `count` elements, then push one, recorded as a single step:
@@ -340,12 +344,17 @@ class RangeStack:
 
     def report_at_time(self, t: int, lo, hi) -> tuple[list, list]:
         """(canonical ids, explicit (key, payload) pairs) of the elements
-        with key in [lo, hi] at step t, both key-ascending."""
+        with key in [lo, hi] at step t, both key-ascending.  A step outside
+        [0, step] raises IndexError."""
+        if not 0 <= t < len(self._v_size):
+            raise IndexError(f"step {t!r} outside [0, {self.step}]")
         return self._walk(t, lo, hi, False)
 
     def suffix_at(self, t: int, lo_exclusive) -> tuple[list, list]:
         """The same answer for the elements with key > lo_exclusive: the
         quadrant query of the cover builds."""
+        if not 0 <= t < len(self._v_size):
+            raise IndexError(f"step {t!r} outside [0, {self.step}]")
         return self._walk(t, lo_exclusive, None, True)
 
     def _walk(self, t: int, lo, hi, strict_lo: bool) -> tuple[list, list]:

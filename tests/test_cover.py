@@ -8,9 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from boxrig.cover import (ORIENT_DOM, Biclique, _pack, build_cover,
-                          build_cover_basic, build_k_cover, edge_set,
-                          expand_edges, rect_families, verify_cover)
+from boxrig.cover import (ORIENT_DOM, Biclique, _chain_sizes, _inner_links,
+                          _leaf_scan, _pack, _strip_stacks, _strips,
+                          build_cover, build_cover_basic, build_k_cover,
+                          edge_set, expand_edges, rect_families, verify_cover)
 from boxrig.depth import DepthIndex, approx_max_depth
 from boxrig.geom import validate
 from boxrig.lab import gen_lower_bound
@@ -84,6 +85,53 @@ def test_stack_backed_strips_exact_beyond_int64(make, shift):
         assert cov.stats.variant == "compact"
         assert cov.bicliques == want
         assert_exact(cov, moved)
+
+
+def test_chain_sizes_are_exact_up_to_the_cap():
+    # one chain 40 deep, short chains, and branches off the long one
+    below = [-1] + list(range(39))
+    below += [-1, 40, 41, -1, 43]
+    below += [10, 11, 14, 30, 45]
+    below = np.array(below, dtype=np.int64)
+    depth = []
+    for e in range(len(below)):
+        d, j = 1, below[e]
+        while j >= 0:
+            d, j = d + 1, below[j]
+        depth.append(d)
+    size = _chain_sizes(below, np.arange(len(below)), 12)
+    assert max(depth) == 40
+    for e, d in enumerate(depth):
+        if d <= 12:
+            assert size[e] == d, e
+        else:
+            assert size[e] > 12, e
+
+
+def stack_backed_segments(ps):
+    """The compact cover's stack-backed strips, set up as _compact_pairs
+    sets them up."""
+    n = ps.n
+    by_x = np.asarray(ps.by_x, dtype=np.int64)
+    pid = np.concatenate([by_x, by_x[::-1]])
+    tau = 3 * max(1, (n - 1).bit_length())
+    yr = np.asarray(ps.rank_y, dtype=np.int64)[pid]
+    st = _strips(yr // tau, (n + tau - 1) // tau)
+    below = np.empty(len(st.lanes), dtype=np.int64)
+    _leaf_scan(st, yr, tau, below, np.full(2 * n, -1, dtype=np.int64))
+    _inner_links(st, below)
+    stacked = _strip_stacks(st, below)
+    starts = np.flatnonzero(np.diff(st.seg, prepend=-1))
+    assert not stacked[np.setdiff1d(np.arange(len(stacked)), starts)].any()
+    return int(stacked.sum())
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda: two_diagonals(512), 15), (lambda: two_diagonals(1024), 30),
+    (lambda: gen_lower_bound(256).ps, 7), (lambda: uniform(1024, 0), 0)],
+    ids=["two-diagonals-512", "two-diagonals-1024", "lower-bound-256", "uniform-1024"])
+def test_stack_backed_strip_counts(make, count):
+    assert stack_backed_segments(make()) == count
 
 
 # sha256 of repr(build_cover(ps).bicliques), taken before the compact

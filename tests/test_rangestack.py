@@ -207,6 +207,21 @@ def test_report_at_time_matches_shadow(buffered):
         assert expand(s, rep) == shadow.content_at(t, lo, hi)
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+def test_reads_reject_steps_outside_the_history(buffered):
+    s = RangeStack(16, buffered=buffered)
+    for key in range(1, 6):
+        s.push(key)
+    assert s.step == 5
+    for t in (-1, -6, 6, 100):
+        with pytest.raises(IndexError, match=rf"step {t} outside \[0, 5\]"):
+            s.report_at_time(t, 0, 9)
+        with pytest.raises(IndexError, match=rf"step {t} outside \[0, 5\]"):
+            s.suffix_at(t, 0)
+    assert s.suffix_at(0, 0) == ([], [])
+    assert expand(s, s.report_at_time(5, 0, 9)) == [(k, None) for k in range(1, 6)]
+
+
 def test_report_at_current_equals_report():
     # the version the last step recorded is the live forest and buffer
     s, _, maxkey = run_script(200, seed=6, buffered=True)
@@ -369,3 +384,21 @@ def test_monotone_script_checks_keys_against_the_script():
             [5, 3], [None, None], [0, 1])
     with pytest.raises(ValueError):
         RangeStack(64).run_monotone_script([1], [None], [0])
+
+
+@pytest.mark.parametrize("keys,payloads,pops,error", [
+    ([1, 2, 3], [None, None], [0, 0, 0], ValueError),       # a payload short
+    ([1, 2, 3], [None] * 3, [0, 0], ValueError),            # a pop count short
+    ([1, 5, 3], [None] * 3, [0, 0, 1], NonMonotoneKey),     # a key falls
+    ([1, 2, 3], [None] * 3, [0, 0, 4], StackUnderflow),     # pops past the bottom
+    ([1, 2], [None] * 2, [0, -1], StackUnderflow),
+])
+def test_failed_script_leaves_the_stack_as_it_was(keys, payloads, pops, error):
+    s = RangeStack(64, buffered=True)
+    s.push(0, "base")
+    with pytest.raises(error):
+        s.run_monotone_script(keys, payloads, pops)
+    assert (s.step, s.size, s.buffer_items()) == (1, 1, [(0, "base")])
+    # the stack takes a good script afterwards
+    assert s.run_monotone_script([1, 2], [None, None], [1, 0]) == [2, 3]
+    assert s.buffer_items() == [(1, None), (2, None)]
